@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from chordweave.audio import read_wav, to_mono
-from chordweave.beats import analyze_structure
-from chordweave.pipeline import read_generation_request
+from chordweave.pipeline import RemixConfig, estimate_grid, read_generation_request
 
 SCRIPTS = Path(__file__).resolve().parent
 
@@ -95,7 +94,7 @@ def main():
         stub.wait(timeout=10)
 
     mixed = read_wav(mix_wav)
-    grid = analyze_structure(to_mono(read_wav(input_wav)))
+    grid = estimate_grid(read_wav(input_wav), RemixConfig())
     clicks = find_clicks(mixed)
     peak = float(np.abs(np.asarray(mixed.samples)).max())
     print(f"remix: {mix_wav} ({mixed.duration_s:.2f} s, peak {peak:.3f})")

@@ -8,7 +8,7 @@ merge segments too short to be musically plausible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,6 @@ numpy so the numerical behaviour is easy to pin down in tests.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -120,11 +119,15 @@ def decode_wav(data: bytes) -> AudioBuffer:
     codec, n_channels, sample_rate, _, block_align, bits = fmt
     if n_channels < 1:
         raise WavFormatError("fmt chunk declares zero channels")
+    if sample_rate < 1:
+        raise WavFormatError("fmt chunk declares sample rate 0")
     if codec == _WAVE_FORMAT_PCM and bits == 16:
         raw = np.frombuffer(payload, dtype="<i2")
         samples = raw.astype(np.float64) / _PCM16_SCALE
     elif codec == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise WavFormatError("float32 data holds NaN or infinite samples")
         samples = raw.astype(np.float64)
     else:
         raise WavFormatError(f"unsupported codec: format tag {codec}, {bits} bits per sample")

@@ -278,22 +278,6 @@ def track_beats(
     )
 
 
-def analyze_structure(
-    buffer: AudioBuffer,
-    min_bpm: float = DEFAULT_MIN_BPM,
-    max_bpm: float = DEFAULT_MAX_BPM,
-    beats_per_bar: int = 4,
-    window_size: int = 1024,
-    hop_size: int = 512,
-) -> BeatGrid:
-    """Convenience chain: onset envelope, tempo estimate, beat grid."""
-    from .audio import to_mono
-
-    envelope = onset_envelope(to_mono(buffer), window_size, hop_size)
-    bpm = estimate_bpm(envelope, min_bpm, max_bpm)
-    return track_beats(envelope, bpm, beats_per_bar)
-
-
 BEAT_GRID_FORMAT = "beat-grid/v1"
 
 

@@ -7,7 +7,7 @@ frame-rate matrix by sampling each frame at its centre time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

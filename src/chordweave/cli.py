@@ -9,16 +9,18 @@ input or arguments, 2 file I/O failure, 3 generation-endpoint failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import analysis, beats, chords, chroma, pipeline, timewarp
-from .audio import read_wav, to_mono, write_wav
+from .audio import read_wav, resample_linear, to_mono, write_wav
 from .formats import FormatError, dumps_document
 from .pipeline import GenerationBackendError, PipelineStepError
 
 ENDPOINT_ENV_VAR = "CHORDWEAVE_ENDPOINT"
+_DEFAULTS = pipeline.RemixConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,10 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sample-rate", type=int, default=44100, help="pipeline sample rate")
-    common.add_argument(
-        "--frame-rate", type=float, default=50.0, help="conditioning chroma frame rate (Hz)"
-    )
     common.add_argument("-v", "--verbose", action="count", default=0, help="diagnostics to stderr")
     common.add_argument("--config", help="JSON file of default flag values (flags still win)")
     return common
@@ -54,24 +52,37 @@ def _emit_json(doc: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _recognition_config(args) -> analysis.RecognitionConfig:
-    return analysis.RecognitionConfig(
-        quality_names=tuple(q.strip() for q in args.qualities.split(",") if q.strip()),
-        median_window=args.median_window,
-        confidence_threshold=args.confidence_threshold,
-        min_segment_s=args.min_segment_s,
-    )
+def _emit_matrix(matrix: chroma.ChromaMatrix, args) -> None:
+    _info(args, f"{matrix.n_frames} frames at {matrix.frame_rate_hz:g} Hz")
+    if args.csv:
+        if args.out is None:
+            raise ValueError("--csv output needs --out")
+        chroma.write_matrix_csv(matrix, args.out)
+    else:
+        _emit_json(chroma.chroma_matrix_to_dict(matrix), args.out)
 
 
-def _remix_config(args) -> pipeline.RemixConfig:
-    return pipeline.RemixConfig(
-        sample_rate=args.sample_rate,
-        conditioning_frame_rate_hz=args.frame_rate,
-        beats_per_bar=args.beats_per_bar,
-        min_bpm=args.min_bpm,
-        max_bpm=args.max_bpm,
-        recognition=_recognition_config(args),
-    )
+def _config(args) -> pipeline.RemixConfig:
+    """The command's RemixConfig: its flags over the defaults."""
+    values = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(pipeline.RemixConfig)
+        if hasattr(args, f.name)
+    }
+    if hasattr(args, "frame_rate"):
+        values["conditioning_frame_rate_hz"] = args.frame_rate
+    if hasattr(args, "qualities"):
+        values["recognition"] = analysis.RecognitionConfig(
+            quality_names=tuple(q.strip() for q in args.qualities.split(",") if q.strip()),
+            median_window=args.median_window,
+            confidence_threshold=args.confidence_threshold,
+            min_segment_s=args.min_segment_s,
+        )
+    return pipeline.RemixConfig(**values)
+
+
+def _load_mono(path, sample_rate: int):
+    return resample_linear(to_mono(read_wav(path)), sample_rate)
 
 
 def _cmd_parse(args) -> int:
@@ -84,103 +95,71 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    config = _config(args)
     seq = chords.read_chord_sequence(args.chords)
-    matrix = chroma.render_matrix(seq, args.frame_rate)
-    _info(args, f"{matrix.n_frames} frames at {matrix.frame_rate_hz:g} Hz")
-    if args.csv:
-        if args.out is None:
-            raise ValueError("--csv output needs --out")
-        chroma.write_matrix_csv(matrix, args.out)
-    else:
-        _emit_json(chroma.chroma_matrix_to_dict(matrix), args.out)
+    _emit_matrix(chroma.render_matrix(seq, config.conditioning_frame_rate_hz), args)
     return 0
 
 
-def _load_mono(path, sample_rate: int):
-    from .audio import resample_linear
-
-    return resample_linear(to_mono(read_wav(path)), sample_rate)
-
-
 def _cmd_analyze_chords(args) -> int:
-    audio = _load_mono(args.audio, args.sample_rate)
+    config = _config(args)
+    audio = _load_mono(args.audio, config.sample_rate)
     bpm = args.bpm
     if bpm is None:
-        envelope = beats.onset_envelope(audio)
-        bpm = beats.estimate_bpm(envelope, args.min_bpm, args.max_bpm)
+        bpm = pipeline.estimate_grid(audio, config).bpm
         _info(args, f"estimated tempo {bpm:.1f} BPM")
-    chromagram = analysis.compute_chromagram(audio)
-    seq = analysis.recognize_chords(chromagram, _recognition_config(args), bpm=bpm)
+    seq = pipeline.extract_chords(audio, bpm, config)
     _info(args, f"{len(seq.events)} chord segments")
     _emit_json(chords.chord_sequence_to_dict(seq), args.out)
     return 0
 
 
 def _cmd_beats(args) -> int:
-    audio = _load_mono(args.audio, args.sample_rate)
-    envelope = beats.onset_envelope(audio)
-    bpm = beats.estimate_bpm(envelope, args.min_bpm, args.max_bpm)
-    grid = beats.track_beats(envelope, bpm, args.beats_per_bar)
-    _info(args, f"{bpm:.1f} BPM, {len(grid.beats_s)} beats, {len(grid.downbeats_s)} downbeats")
+    config = _config(args)
+    grid = pipeline.estimate_grid(_load_mono(args.audio, config.sample_rate), config)
+    _info(
+        args, f"{grid.bpm:.1f} BPM, {len(grid.beats_s)} beats, {len(grid.downbeats_s)} downbeats"
+    )
     _emit_json(beats.beat_grid_to_dict(grid), args.out)
     return 0
 
 
 def _cmd_melody(args) -> int:
-    audio = _load_mono(args.audio, args.sample_rate)
+    config = _config(args)
+    audio = _load_mono(args.audio, config.sample_rate)
     raw = analysis.compute_chromagram(
-        audio, analysis.ChromagramConfig(normalization="none")
+        audio, dataclasses.replace(config.chromagram, normalization="none")
     )
-    matrix = analysis.melody_one_hot(raw, args.silence_floor)
-    _info(args, f"{matrix.n_frames} frames at {matrix.frame_rate_hz:g} Hz")
-    if args.csv:
-        if args.out is None:
-            raise ValueError("--csv output needs --out")
-        chroma.write_matrix_csv(matrix, args.out)
-    else:
-        _emit_json(chroma.chroma_matrix_to_dict(matrix), args.out)
+    _emit_matrix(analysis.melody_one_hot(raw, args.silence_floor), args)
     return 0
 
 
 def _cmd_align(args) -> int:
+    config = _config(args)
     audio = read_wav(args.audio)
     source = beats.read_beat_grid(args.source_grid)
     target = beats.read_beat_grid(args.target_grid)
     anchors = timewarp.build_anchor_map(source, target)
-    warped = timewarp.align_to_anchors(audio, anchors)
+    warped = timewarp.align_to_anchors(audio, anchors, config.wsola)
     _info(args, f"warped {audio.duration_s:.2f} s onto {warped.duration_s:.2f} s")
     write_wav(warped, args.out, args.encoding)
     return 0
-
-
-def _grid_for(path, audio, args, seed_bpm=None):
-    if path is not None:
-        return beats.read_beat_grid(path)
-    envelope = beats.onset_envelope(to_mono(audio))
-    if seed_bpm is None:
-        bpm = beats.estimate_bpm(envelope, args.min_bpm, args.max_bpm)
-    else:
-        bpm = beats.estimate_bpm(envelope, seed_bpm * 0.9, seed_bpm * 1.1)
-    return beats.track_beats(envelope, bpm, args.beats_per_bar)
 
 
 def _cmd_mix(args) -> int:
     generated = read_wav(args.generated)
     instrumental = read_wav(args.input)
     vocals = read_wav(args.vocals) if args.vocals else None
-    if vocals is not None and vocals.sample_rate != instrumental.sample_rate:
-        from .audio import resample_linear
-
-        vocals = resample_linear(vocals, instrumental.sample_rate)
-    stems = pipeline.StemSet(instrumental, vocals)
-    input_grid = _grid_for(args.input_grid, instrumental, args)
-    generated_grid = _grid_for(args.generated_grid, generated, args, seed_bpm=input_grid.bpm)
-    config = pipeline.RemixConfig(
-        sample_rate=instrumental.sample_rate,
-        generated_gain=args.generated_gain,
-        vocal_gain=args.vocal_gain,
-        ceiling_dbfs=args.ceiling_dbfs,
-    )
+    config = dataclasses.replace(_config(args), sample_rate=instrumental.sample_rate)
+    stems = pipeline.ingest_stems(instrumental, vocals, config)
+    if args.input_grid is not None:
+        input_grid = beats.read_beat_grid(args.input_grid)
+    else:
+        input_grid = pipeline.estimate_grid(stems.instrumental, config)
+    if args.generated_grid is not None:
+        generated_grid = beats.read_beat_grid(args.generated_grid)
+    else:
+        generated_grid = pipeline.estimate_grid(generated, config, seed_bpm=input_grid.bpm)
     mixed = pipeline.finalize_remix(generated, stems, generated_grid, input_grid, config)
     _info(args, f"mixed {mixed.duration_s:.2f} s")
     write_wav(mixed, args.out, args.encoding)
@@ -188,10 +167,10 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_remix(args) -> int:
+    config = _config(args)
     instrumental = read_wav(args.audio)
     vocals = read_wav(args.vocals) if args.vocals else None
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
-    config = _remix_config(args)
     if args.dry_run:
         pipeline.run_remix(
             instrumental, vocals, args.prompt, config, mode="dry_run", out_path=args.out
@@ -212,17 +191,35 @@ def _cmd_remix(args) -> int:
     return 0
 
 
+def _add_sample_rate_flag(parser) -> None:
+    parser.add_argument(
+        "--sample-rate", type=int, default=_DEFAULTS.sample_rate, help="analysis sample rate (Hz)"
+    )
+
+
+def _add_frame_rate_flag(parser) -> None:
+    parser.add_argument(
+        "--frame-rate",
+        type=float,
+        default=_DEFAULTS.conditioning_frame_rate_hz,
+        help="conditioning chroma frame rate (Hz)",
+    )
+
+
 def _add_recognition_flags(parser) -> None:
-    parser.add_argument("--qualities", default="maj,min", help="comma-separated chord qualities")
-    parser.add_argument("--median-window", type=int, default=5)
-    parser.add_argument("--confidence-threshold", type=float, default=0.5)
-    parser.add_argument("--min-segment-s", type=float, default=0.3)
+    rec = _DEFAULTS.recognition
+    parser.add_argument(
+        "--qualities", default=",".join(rec.quality_names), help="comma-separated chord qualities"
+    )
+    parser.add_argument("--median-window", type=int, default=rec.median_window)
+    parser.add_argument("--confidence-threshold", type=float, default=rec.confidence_threshold)
+    parser.add_argument("--min-segment-s", type=float, default=rec.min_segment_s)
 
 
 def _add_tempo_flags(parser) -> None:
-    parser.add_argument("--min-bpm", type=float, default=60.0)
-    parser.add_argument("--max-bpm", type=float, default=200.0)
-    parser.add_argument("--beats-per-bar", type=int, default=4)
+    parser.add_argument("--min-bpm", type=float, default=_DEFAULTS.min_bpm)
+    parser.add_argument("--max-bpm", type=float, default=_DEFAULTS.max_bpm)
+    parser.add_argument("--beats-per-bar", type=int, default=_DEFAULTS.beats_per_bar)
 
 
 def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
@@ -242,6 +239,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     p = sub.add_parser("encode", parents=[common], help="chord-seq JSON to chroma-matrix JSON")
     p.add_argument("--chords", required=True, help="chord-seq document")
+    _add_frame_rate_flag(p)
     p.add_argument("--csv", action="store_true", help="write CSV instead of JSON")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=_cmd_encode)
@@ -250,6 +248,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p = sub.add_parser("analyze-chords", parents=[common], help="recognize chords in a WAV")
     p.add_argument("audio")
     p.add_argument("--bpm", type=float, help="skip tempo estimation and annotate with this")
+    _add_sample_rate_flag(p)
     _add_tempo_flags(p)
     _add_recognition_flags(p)
     p.add_argument("--out")
@@ -258,6 +257,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     p = sub.add_parser("beats", parents=[common], help="tempo and beat grid of a WAV")
     p.add_argument("audio")
+    _add_sample_rate_flag(p)
     _add_tempo_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_beats)
@@ -265,6 +265,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     p = sub.add_parser("melody", parents=[common], help="one-hot melody chroma of a WAV")
     p.add_argument("audio")
+    _add_sample_rate_flag(p)
     p.add_argument("--silence-floor", type=float, default=1e-3)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
@@ -287,9 +288,9 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--generated-grid", help="beat-grid document (estimated when omitted)")
     p.add_argument("--input-grid", help="beat-grid document (estimated when omitted)")
     _add_tempo_flags(p)
-    p.add_argument("--generated-gain", type=float, default=1.0)
-    p.add_argument("--vocal-gain", type=float, default=1.0)
-    p.add_argument("--ceiling-dbfs", type=float, default=-1.0)
+    p.add_argument("--generated-gain", type=float, default=_DEFAULTS.generated_gain)
+    p.add_argument("--vocal-gain", type=float, default=_DEFAULTS.vocal_gain)
+    p.add_argument("--ceiling-dbfs", type=float, default=_DEFAULTS.ceiling_dbfs)
     p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mix)
@@ -302,6 +303,8 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--dry-run", action="store_true", help="write the request document, no network")
     p.add_argument("--endpoint", help=f"generation URL (default ${ENDPOINT_ENV_VAR})")
     p.add_argument("--timeout-s", type=float, default=pipeline.DEFAULT_TIMEOUT_S)
+    _add_sample_rate_flag(p)
+    _add_frame_rate_flag(p)
     _add_tempo_flags(p)
     _add_recognition_flags(p)
     p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
@@ -327,14 +330,12 @@ def _apply_config_file(argv, parsers) -> None:
     if not isinstance(doc, dict):
         raise FormatError("config file must hold a JSON object of flag values")
     values = {key.replace("-", "_").lstrip("_"): value for key, value in doc.items()}
-    known = {
-        action.dest for p in parsers for action in p._actions if action.dest != "help"
-    }
-    unknown = sorted(set(values) - known)
+    dests = [{action.dest for action in p._actions if action.dest != "help"} for p in parsers]
+    unknown = sorted(set(values).difference(*dests))
     if unknown:
         raise FormatError(f"config file sets unknown options: {', '.join(unknown)}")
-    for p in parsers:
-        p.set_defaults(**values)
+    for p, own in zip(parsers, dests):
+        p.set_defaults(**{key: value for key, value in values.items() if key in own})
 
 
 def run(argv=None) -> int:

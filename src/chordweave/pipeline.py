@@ -26,7 +26,7 @@ from .audio import (
     resample_linear,
     to_mono,
 )
-from .beats import BeatGrid, NoTempoError, estimate_bpm, onset_envelope, track_beats
+from .beats import BeatGrid, estimate_bpm, onset_envelope, track_beats
 from .chords import ChordSequence, TimeSignature
 from .chroma import ChromaMatrix, chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
 from .formats import FormatError, dump_document, load_document
@@ -96,13 +96,12 @@ class RemixConfig:
     beat_hop_size: int = 512
     chromagram: ChromagramConfig = field(default_factory=ChromagramConfig)
     recognition: RecognitionConfig = field(default_factory=RecognitionConfig)
-    chord_source: str = "instrumental"
     wsola: WsolaConfig = field(default_factory=WsolaConfig)
     generated_gain: float = 1.0
     vocal_gain: float = 1.0
     ceiling_dbfs: float = -1.0
-    # Generated-track tempo is re-estimated in a window this wide around
-    # the requested BPM, which rules out octave errors.
+    # A seeded tempo search (estimate_grid's seed_bpm) stays in a window
+    # this wide around the seed, which rules out octave errors.
     bpm_seed_tolerance: float = 0.10
 
     def __post_init__(self):
@@ -110,8 +109,6 @@ class RemixConfig:
             raise ValueError("sample_rate must be > 0")
         if self.conditioning_frame_rate_hz <= 0:
             raise ValueError("conditioning_frame_rate_hz must be > 0")
-        if self.chord_source not in ("instrumental", "mix"):
-            raise ValueError("chord_source must be 'instrumental' or 'mix'")
         if self.ceiling_dbfs > 0:
             raise ValueError("ceiling_dbfs must be <= 0")
         if not 0 < self.bpm_seed_tolerance < 1:
@@ -202,18 +199,35 @@ def ingest_stems(
         raise PipelineStepError(2, str(exc)) from exc
 
 
+def estimate_grid(
+    buffer: AudioBuffer, config: RemixConfig, seed_bpm: float | None = None
+) -> BeatGrid:
+    """Onset envelope, tempo, rigid beat grid with downbeats.
+
+    The tempo search spans [min_bpm, max_bpm]; given seed_bpm it spans
+    seed_bpm * (1 +/- bpm_seed_tolerance) instead, so a half- or
+    double-time reading cannot slip in.
+    """
+    envelope = onset_envelope(to_mono(buffer), config.beat_window_size, config.beat_hop_size)
+    if seed_bpm is None:
+        min_bpm, max_bpm = config.min_bpm, config.max_bpm
+    else:
+        min_bpm = seed_bpm * (1.0 - config.bpm_seed_tolerance)
+        max_bpm = seed_bpm * (1.0 + config.bpm_seed_tolerance)
+    bpm = estimate_bpm(envelope, min_bpm, max_bpm)
+    return track_beats(envelope, bpm, config.beats_per_bar)
+
+
 def analyze_beats(buffer: AudioBuffer, config: RemixConfig) -> BeatGrid:
-    """Step 1: onset envelope, tempo, rigid beat grid with downbeats."""
+    """Step 1: the input's beat grid over the configured tempo range."""
     try:
-        envelope = onset_envelope(to_mono(buffer), config.beat_window_size, config.beat_hop_size)
-        bpm = estimate_bpm(envelope, config.min_bpm, config.max_bpm)
-        return track_beats(envelope, bpm, config.beats_per_bar)
-    except (NoTempoError, ValueError) as exc:
+        return estimate_grid(buffer, config)
+    except ValueError as exc:
         raise PipelineStepError(1, str(exc)) from exc
 
 
 def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> ChordSequence:
-    """Step 3: chromagram plus template matching on the chosen source."""
+    """Step 3: chromagram plus template matching, in a bar of beats_per_bar beats."""
     try:
         chromagram = compute_chromagram(to_mono(buffer), config.chromagram)
         if chromagram.n_frames == 0:
@@ -231,19 +245,12 @@ def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> Chor
 def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> ConditioningBundle:
     """Steps 1-3: analyze the input and package the generation inputs.
 
-    Beat analysis and chord extraction run on the instrumental stem (or
-    the vocals+instrumental mix when so configured); the recognized
-    chords are rendered to conditioning chroma at the configured rate.
+    Beat analysis and chord extraction run on the instrumental stem; the
+    recognized chords are rendered to conditioning chroma at the
+    configured rate.
     """
-    analysis_source = stems.instrumental
-    if config.chord_source == "mix" and stems.vocals is not None:
-        n = max(stems.instrumental.n_samples, stems.vocals.n_samples)
-        mixed = np.zeros((1, n))
-        for stem in (stems.instrumental, stems.vocals):
-            mixed[:, : stem.n_samples] += to_mono(stem).samples
-        analysis_source = AudioBuffer(mixed, stems.instrumental.sample_rate)
     grid = analyze_beats(stems.instrumental, config)
-    chords = extract_chords(analysis_source, grid.bpm, config)
+    chords = extract_chords(stems.instrumental, grid.bpm, config)
     chroma = render_matrix(chords, config.conditioning_frame_rate_hz)
     return ConditioningBundle(grid, chords, chroma, prompt, stems.instrumental.duration_s)
 
@@ -309,22 +316,10 @@ def request_generation(
 def estimate_generated_grid(
     generated: AudioBuffer, req: GenerationRequest, config: RemixConfig
 ) -> BeatGrid:
-    """Beat grid of the generated track, tempo-seeded by the request.
-
-    The tempo search is confined to a window around the requested BPM so
-    a half- or double-time reading cannot slip in.
-    """
+    """Step 4: beat grid of the generated track, tempo-seeded by the request."""
     try:
-        envelope = onset_envelope(
-            to_mono(generated), config.beat_window_size, config.beat_hop_size
-        )
-        bpm = estimate_bpm(
-            envelope,
-            req.bpm * (1.0 - config.bpm_seed_tolerance),
-            req.bpm * (1.0 + config.bpm_seed_tolerance),
-        )
-        return track_beats(envelope, bpm, config.beats_per_bar)
-    except (NoTempoError, ValueError) as exc:
+        return estimate_grid(generated, config, seed_bpm=req.bpm)
+    except ValueError as exc:
         raise PipelineStepError(4, str(exc)) from exc
 
 

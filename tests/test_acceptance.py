@@ -13,7 +13,6 @@ from chordweave.analysis import compute_chromagram, recognize_chords
 from chordweave.audio import encode_wav, stft, to_mono
 from chordweave.beats import (
     BeatGrid,
-    analyze_structure,
     beat_grid_to_dict,
     estimate_bpm,
     onset_envelope,
@@ -35,6 +34,7 @@ from chordweave.pipeline import (
     GenerationRequest,
     RemixConfig,
     StemSet,
+    estimate_grid,
     generation_request_to_dict,
     prepare_conditioning,
     read_generation_request,
@@ -154,7 +154,7 @@ def test_criterion_5_tempo_oracle():
         buf = to_mono(click_track(bpm, 10.0, SR, accent_every=4))
         est = estimate_bpm(onset_envelope(buf))
         worst_bpm = max(worst_bpm, abs(est - bpm))
-        grid = analyze_structure(buf)
+        grid = estimate_grid(buf, RemixConfig())
         bar_s = 4 * 60.0 / bpm
         for d in grid.downbeats_s:
             err = abs(d - round(d / bar_s) * bar_s)

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import hypothesis.strategies as st
 import numpy as np
@@ -89,6 +90,21 @@ def test_decode_rejects_truncated_data():
     data = encode_wav(AudioBuffer(np.zeros(1000), 8000))
     with pytest.raises(WavFormatError):
         decode_wav(data[: len(data) // 2])
+
+
+def test_decode_rejects_zero_sample_rate():
+    data = encode_wav(AudioBuffer(np.zeros(100), 8000))
+    # The fmt chunk's sample-rate field sits at bytes 24-27.
+    with pytest.raises(WavFormatError):
+        decode_wav(data[:24] + struct.pack("<I", 0) + data[28:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_float32(bad):
+    samples = np.zeros(100)
+    samples[37] = bad
+    with pytest.raises(WavFormatError):
+        decode_wav(encode_wav(AudioBuffer(samples, 8000), "float32"))
 
 
 def test_file_round_trip(tmp_path):

@@ -6,7 +6,6 @@ from chordweave.beats import (
     BeatGrid,
     NoTempoError,
     OnsetEnvelope,
-    analyze_structure,
     beat_grid_from_dict,
     beat_grid_to_dict,
     estimate_bpm,
@@ -16,6 +15,7 @@ from chordweave.beats import (
     write_beat_grid,
 )
 from chordweave.formats import FormatError
+from chordweave.pipeline import RemixConfig, estimate_grid
 from chordweave.synth import click_track, concat, silence
 
 SR = 44100
@@ -73,7 +73,7 @@ def test_track_beats_finds_offset_phase():
 
 def test_track_beats_downbeats_on_accents():
     buf = click_track(120.0, 10.0, SR, accent_every=4)
-    grid = analyze_structure(to_mono(buf))
+    grid = estimate_grid(buf, RemixConfig())
     bar_s = 4 * 60.0 / 120.0
     for d in grid.downbeats_s:
         nearest = round(d / bar_s) * bar_s
@@ -82,7 +82,7 @@ def test_track_beats_downbeats_on_accents():
 
 def test_track_beats_uniform_clicks_take_lowest_offset():
     buf = click_track(120.0, 8.0, SR)
-    grid = analyze_structure(to_mono(buf))
+    grid = estimate_grid(buf, RemixConfig())
     assert grid.downbeats_s[0] == grid.beats_s[0]
 
 
@@ -93,7 +93,7 @@ def test_track_beats_needs_one_bar():
 
 
 def test_beat_spacing_follows_bpm():
-    grid = analyze_structure(to_mono(click_track(100.0, 10.0, SR, accent_every=4)))
+    grid = estimate_grid(click_track(100.0, 10.0, SR, accent_every=4), RemixConfig())
     diffs = np.diff(grid.beats_s)
     assert np.allclose(diffs, 60.0 / grid.bpm, rtol=1e-6)
 
@@ -101,8 +101,8 @@ def test_beat_spacing_follows_bpm():
 def test_gain_invariance_is_exact():
     buf = to_mono(click_track(120.0, 10.0, SR, accent_every=4))
     quiet = AudioBuffer(np.asarray(buf.samples) * 0.125, SR)
-    a = analyze_structure(buf)
-    b = analyze_structure(quiet)
+    a = estimate_grid(buf, RemixConfig())
+    b = estimate_grid(quiet, RemixConfig())
     assert a.bpm == b.bpm
     assert a.beats_s == b.beats_s
     assert a.downbeats_s == b.downbeats_s
@@ -111,8 +111,8 @@ def test_gain_invariance_is_exact():
 def test_shift_equivariance_within_a_hop():
     base = to_mono(click_track(120.0, 10.0, SR, accent_every=4))
     shifted = to_mono(concat([silence(0.5, SR), click_track(120.0, 10.0, SR, accent_every=4)]))
-    a = analyze_structure(base)
-    b = analyze_structure(shifted)
+    a = estimate_grid(base, RemixConfig())
+    b = estimate_grid(shifted, RemixConfig())
     hop_s = 512 / SR
     assert abs(a.bpm - b.bpm) <= 1.0
     # each shifted beat sits one beat grid over from the original, modulo
@@ -138,7 +138,7 @@ def test_grid_downbeats_subset_by_offset():
 
 
 def test_grid_serialization_round_trip(tmp_path):
-    grid = analyze_structure(to_mono(click_track(120.0, 8.0, SR, accent_every=4)))
+    grid = estimate_grid(click_track(120.0, 8.0, SR, accent_every=4), RemixConfig())
     path = tmp_path / "grid.json"
     write_beat_grid(grid, path)
     again = read_beat_grid(path)

@@ -60,6 +60,21 @@ def test_unknown_subcommand_is_exit_1(capsys):
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "C:maj", "--bpm", "120", "--frame-rate", "7"],
+        ["parse", "C:maj", "--bpm", "120", "--sample-rate", "8000"],
+        ["align", "a.wav", "--source-grid", "s.json", "--target-grid", "t.json",
+         "--out", "o.wav", "--sample-rate", "8000"],
+    ],
+    ids=["parse-frame-rate", "parse-sample-rate", "align-sample-rate"],
+)
+def test_flag_the_command_does_not_read_is_exit_1(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_encode_frame_count(tmp_path):
     chords = tmp_path / "chords.json"
     out = tmp_path / "chroma.json"
@@ -104,12 +119,15 @@ def test_beats_reports_grid(input_wav, tmp_path):
 
 
 def test_analyze_chords_finds_progression(input_wav, tmp_path):
-    out = tmp_path / "chords.json"
-    assert run(["analyze-chords", str(input_wav), "--bpm", "120", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    names = [e["chord"] for e in doc["events"]]
-    assert "C:maj" in names
-    assert "G:maj" in names
+    for flags, signature in (([], [4, 4]), (["--beats-per-bar", "3"], [3, 4])):
+        out = tmp_path / "chords.json"
+        argv = ["analyze-chords", str(input_wav), "--bpm", "120", *flags, "--out", str(out)]
+        assert run(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["time_signature"] == signature
+        names = [e["chord"] for e in doc["events"]]
+        assert "C:maj" in names
+        assert "G:maj" in names
 
 
 def test_melody_rows_are_one_hot(input_wav, tmp_path):
@@ -273,3 +291,16 @@ def test_module_invocation_matches(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bpm"] == 90.0
+
+
+def test_remix_demo_script_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_remix_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--workdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_wav(tmp_path / "remix.wav").n_samples > 0

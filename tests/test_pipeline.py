@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_live_rejects_non_audio_response(bundle, stub_server):
     url, state = stub_server
     state["body"] = b"<html>busy</html>"
     state["content_type"] = "text/html"
+    with pytest.raises(NonAudioResponseError):
+        request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+
+
+def test_live_rejects_zero_sample_rate(bundle, stub_server):
+    url, state = stub_server
+    wav = encode_wav(click_track(126.0, 8.0, SR), "pcm16")
+    # The fmt chunk's sample-rate field sits at bytes 24-27.
+    state["body"] = wav[:24] + struct.pack("<I", 0) + wav[28:]
     with pytest.raises(NonAudioResponseError):
         request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
 
