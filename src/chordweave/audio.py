@@ -223,14 +223,6 @@ class Spectrogram:
     def frame_rate_hz(self) -> float:
         return self.sample_rate / self.hop_size
 
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate / self.window_size
-
-    def frame_time_s(self, index: int) -> float:
-        """Centre time of analysis frame `index`."""
-        return (index * self.hop_size + self.window_size / 2) / self.sample_rate
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrogram):
             return NotImplemented

@@ -121,12 +121,6 @@ class Chord:
             classes.add(self.bass)
         return frozenset(classes)
 
-    def transposed(self, semitones: int) -> Chord:
-        if self.root is None:
-            return self
-        bass = None if self.bass is None else (self.bass + semitones) % PITCH_CLASS_COUNT
-        return Chord((self.root + semitones) % PITCH_CLASS_COUNT, self.quality, bass)
-
     def __str__(self) -> str:
         return format_chord(self)
 

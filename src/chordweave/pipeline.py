@@ -324,11 +324,16 @@ def estimate_generated_grid(
 
 
 def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuffer:
-    """Scale down iff any sample exceeds the ceiling; never scale up."""
+    """Scale down iff any sample exceeds the ceiling; never scale up.
+
+    NaN or infinite samples have no peak to scale by and raise ValueError.
+    """
     if ceiling_dbfs > 0:
         raise ValueError("ceiling_dbfs must be <= 0")
     ceiling = 10.0 ** (ceiling_dbfs / 20.0)
     peak = float(np.max(np.abs(buffer.samples))) if buffer.n_samples else 0.0
+    if not np.isfinite(peak):
+        raise ValueError("cannot normalize a buffer holding NaN or infinite samples")
     if peak <= ceiling:
         return buffer
     return AudioBuffer(buffer.samples * (ceiling / peak), buffer.sample_rate)

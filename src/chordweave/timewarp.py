@@ -6,6 +6,15 @@ slide through the input at the stretch ratio, each nudged within a
 search tolerance to best continue the previous grain.  Anchor maps apply
 a different ratio per segment so specific instants (downbeats) land
 exactly where asked.
+
+The offset search scores each candidate grain by its correlation with
+the continuation of the previous one and takes the best, but a score
+within max(TIE_RELATIVE * |best|, TIE_FLOOR * |template| * |region|) of
+the best counts as a tie, and ties go to the candidate nearest the
+nominal offset.  The floor is a fraction of the Cauchy-Schwarz bound on
+every score: where the template and the region share no sound (a click
+that never overlaps the region's click), every true score is 0 and the
+computed ones are FFT round-off, which must not move the grain.
 """
 
 from __future__ import annotations
@@ -19,6 +28,10 @@ from .beats import BeatGrid
 
 RATIO_MIN = 0.25
 RATIO_MAX = 4.0
+
+# Near-tie rule of the offset search; see the module docstring.
+TIE_RELATIVE = 1e-6
+TIE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,49 +55,76 @@ class WsolaConfig:
         return self.frame_length // 2 if self.synthesis_hop is None else self.synthesis_hop
 
 
-def _fft_correlate_valid(region: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """scores[j] = dot(region[j : j+len(template)], template)."""
-    n = len(region)
-    m = len(template)
-    size = 1 << (n + m - 1).bit_length()
-    spectrum = np.fft.rfft(region, size) * np.fft.rfft(template[::-1], size)
-    full = np.fft.irfft(spectrum, size)
-    return full[m - 1 : n]
+def _rows(x: np.ndarray, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Row i holds x[starts[i] : starts[i] + lengths[i]], zero-padded to the window width.
+
+    `windows` is x's sliding window view; full rows are copied from it,
+    and only the short ones are gathered sample by sample.
+    """
+    width = windows.shape[1]
+    rows = windows[np.minimum(starts, len(x) - width)]
+    short = np.flatnonzero(lengths < width)
+    if short.size:
+        taps = np.arange(width)
+        at = np.minimum(starts[short, None] + taps, len(x) - 1)
+        rows[short] = np.where(taps < lengths[short, None], x[at], 0.0)
+    return rows
 
 
-def _wsola_mono_offsets(x: np.ndarray, target_len: int, config: WsolaConfig) -> np.ndarray:
-    """Chosen analysis start per synthesis grain for stretching x to target_len."""
-    n = len(x)
-    grain = config.frame_length
-    hop = config.hop
+def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.ndarray]:
+    """Chosen analysis start of every grain of every span of `mono`.
+
+    `spans` holds (offset, length, target_len) triples, one per segment
+    to stretch; the starts come back relative to each segment.  Segments
+    are independent, so step k searches the k-th grain of every segment
+    that has one, one row each.  Templates and search regions are
+    gathered from `mono` and correlated with one row-wise FFT of size
+    next_pow2(2 * search_tolerance + frame_length): the correlation is
+    circular, but no searched lag reads past the end of its row.
+    """
+    grain, hop, tol = config.frame_length, config.hop, config.search_tolerance
+    offset, n, target = (np.array(col, dtype=np.int64) for col in zip(*spans))
     max_start = n - grain
-    n_grains = 1 if target_len <= grain else int(np.ceil((target_len - grain) / hop)) + 1
-    starts = np.zeros(n_grains, dtype=np.int64)
-    prev = 0
-    for k in range(n_grains):
-        nominal = int(round(k * hop * n / target_len))
-        nominal = min(max(nominal, 0), max_start)
-        if k == 0:
-            starts[0] = prev = nominal
-            continue
-        template = x[prev + hop : prev + hop + grain]
-        if len(template) < grain:
-            template = np.concatenate([template, np.zeros(grain - len(template))])
-        lo = max(nominal - config.search_tolerance, 0)
-        hi = min(nominal + config.search_tolerance, max_start)
-        if hi <= lo:
-            starts[k] = prev = min(max(nominal, lo), max(hi, lo))
-            continue
-        scores = _fft_correlate_valid(x[lo : hi + grain], template)
+    counts = np.ceil((target - grain) / hop).astype(np.int64) + 1
+    starts = np.zeros((len(spans), counts.max()), dtype=np.int64)
+    width = 2 * tol + grain
+    size = 1 << (width - 1).bit_length()
+    if len(mono) < width:  # too short for even one window view
+        mono = np.concatenate([mono, np.zeros(width - len(mono))])
+    template_windows = np.lib.stride_tricks.sliding_window_view(mono, grain)
+    region_windows = np.lib.stride_tricks.sliding_window_view(mono, width)
+    lags = np.arange(2 * tol + 1)
+    for k in range(1, counts.max()):
+        rows = np.flatnonzero(counts > k)
+        # As round(k * hop * n / target_len) in Python, for products below 2**53.
+        nominal = np.rint(k * hop * n[rows] / target[rows]).astype(np.int64)
+        nominal = np.clip(nominal, 0, max_start[rows])
+        lo = np.maximum(nominal - tol, 0)
+        hi = np.minimum(nominal + tol, max_start[rows])
+        # The template continues the previous grain and is zero past the
+        # segment's end; the region is x[lo : hi + grain] of the segment.
+        follow = starts[rows, k - 1] + hop
+        templates = _rows(mono, template_windows, offset[rows] + follow, n[rows] - follow)
+        regions = _rows(mono, region_windows, offset[rows] + lo, hi - lo + grain)
+        spectrum = np.conj(np.fft.rfft(templates, size))
+        spectrum *= np.fft.rfft(regions, size)
+        scores = np.fft.irfft(spectrum, size)[:, : lags.size]
+        # Lags past hi - lo lie outside the segment's search window.
+        clipped = np.flatnonzero(hi - lo < 2 * tol)
+        scores[clipped] = np.where(lags <= (hi - lo)[clipped, None], scores[clipped], -np.inf)
+        best = scores.max(axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", templates, templates)) * np.sqrt(
+            np.einsum("ij,ij->i", regions, regions)
+        )
+        near_tol = np.maximum(TIE_RELATIVE * np.abs(best), TIE_FLOOR * norms)
         # Near-ties resolve toward the nominal offset: in silence every
         # score is ~0 and a bare argmax would drag each grain to the
         # window edge, shifting content and never reading the last
-        # samples of the buffer.
-        best = float(scores.max())
-        tol = 1e-6 * max(abs(best), 1e-12)
-        near = np.flatnonzero(scores >= best - tol)
-        starts[k] = prev = lo + int(near[np.argmin(np.abs(near + lo - nominal))])
-    return starts
+        # samples of the buffer.  The first of equally near lags wins.
+        distance = np.abs(lags + (lo - nominal)[:, None])
+        distance[scores < (best - near_tol)[:, None]] = np.iinfo(np.int64).max
+        starts[rows, k] = lo + np.argmin(distance, axis=1)
+    return [row[:count] for row, count in zip(starts, counts)]
 
 
 def _overlap_add(x: np.ndarray, starts: np.ndarray, target_len: int, config: WsolaConfig):
@@ -105,26 +145,42 @@ def _overlap_add(x: np.ndarray, starts: np.ndarray, target_len: int, config: Wso
     return out[:target_len]
 
 
-def _wsola_to_length(samples: np.ndarray, target_len: int, config: WsolaConfig) -> np.ndarray:
-    """Stretch (channels, n) samples to exactly target_len samples.
+def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> list[np.ndarray]:
+    """Stretch samples[:, lo:hi] to exactly target_len samples per (lo, hi, target_len).
 
-    Grain offsets are searched on the channel mean so channels stay
-    phase-locked.
+    A segment already target_len long is copied unchanged, and one too
+    short to grain is resampled.  The rest are stretched by WSOLA, with
+    grain offsets searched on the channel mean so channels stay
+    phase-locked, all segments in one search.
     """
-    if samples.shape[1] == target_len:
-        return samples.copy()
-    if target_len == 0:
-        return np.zeros((samples.shape[0], 0))
-    if samples.shape[1] == 0:
-        return np.zeros((samples.shape[0], target_len))
-    if samples.shape[1] <= config.frame_length or target_len <= config.frame_length:
-        # Too short to grain: fall back to resampling the waveform.
-        src = np.arange(samples.shape[1], dtype=np.float64)
-        dst = np.linspace(0.0, samples.shape[1] - 1, target_len)
-        return np.stack([np.interp(dst, src, ch) for ch in samples])
-    mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
-    starts = _wsola_mono_offsets(mono, target_len, config)
-    return np.stack([_overlap_add(ch, starts, target_len, config) for ch in samples])
+    pieces = [None] * len(bounds)
+    spans, grained = [], []
+    for i, (lo, hi, target_len) in enumerate(bounds):
+        segment = samples[:, lo:hi]
+        n = hi - lo
+        if n == target_len:
+            pieces[i] = segment.copy()
+        elif target_len == 0:
+            pieces[i] = np.zeros((samples.shape[0], 0))
+        elif n == 0:
+            pieces[i] = np.zeros((samples.shape[0], target_len))
+        elif n <= config.frame_length or target_len <= config.frame_length:
+            # Too short to grain: fall back to resampling the waveform.
+            src = np.arange(n, dtype=np.float64)
+            dst = np.linspace(0.0, n - 1, target_len)
+            pieces[i] = np.stack([np.interp(dst, src, ch) for ch in segment])
+        else:
+            spans.append((lo, n, target_len))
+            grained.append(i)
+    if spans:
+        mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
+        for i, (lo, n, target_len), starts in zip(
+            grained, spans, _search_offsets(mono, spans, config)
+        ):
+            pieces[i] = np.stack(
+                [_overlap_add(ch[lo : lo + n], starts, target_len, config) for ch in samples]
+            )
+    return pieces
 
 
 def wsola_stretch(
@@ -147,8 +203,8 @@ def wsola_stretch(
         )
     if ratio == 1.0:
         return buffer
-    target_len = int(round(buffer.n_samples * ratio))
-    return AudioBuffer(_wsola_to_length(buffer.samples, target_len, config), buffer.sample_rate)
+    bounds = [(0, buffer.n_samples, int(round(buffer.n_samples * ratio)))]
+    return AudioBuffer(_stretch_segments(buffer.samples, bounds, config)[0], buffer.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -227,10 +283,13 @@ def align_to_anchors(
                 f"segment [{s0:g}, {s1:g}] s needs ratio {ratio:.3f}, "
                 f"outside [{RATIO_MIN}, {RATIO_MAX}]"
             )
-    pieces = []
-    for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:]):
-        src_lo, src_hi = int(round(s0 * rate)), int(round(s1 * rate))
-        tgt_len = int(round(t1 * rate)) - int(round(t0 * rate))
-        segment = buffer.samples[:, min(src_lo, buffer.n_samples) : min(src_hi, buffer.n_samples)]
-        pieces.append(_wsola_to_length(segment, tgt_len, config))
+    bounds = [
+        (
+            min(int(round(s0 * rate)), buffer.n_samples),
+            min(int(round(s1 * rate)), buffer.n_samples),
+            int(round(t1 * rate)) - int(round(t0 * rate)),
+        )
+        for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:])
+    ]
+    pieces = _stretch_segments(buffer.samples, bounds, config)
     return AudioBuffer(np.concatenate(pieces, axis=1), rate)

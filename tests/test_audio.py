@@ -169,7 +169,7 @@ def test_stft_locates_tone():
     buf = sine(440.0, 1.0, 44100)
     spec = stft(buf, 4096, 1024)
     peak_bin = int(np.argmax(np.asarray(spec.magnitudes).mean(axis=0)))
-    assert peak_bin == round(440.0 / spec.bin_hz)
+    assert peak_bin == round(440.0 / (spec.sample_rate / spec.window_size))
 
 
 @given(

@@ -222,6 +222,24 @@ def test_peak_normalize_scales_down_only():
     assert peak_normalize(zero, -1.0) is zero
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_peak_normalize_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        peak_normalize(AudioBuffer(np.array([0.0, bad, 0.5]), SR), -1.0)
+
+
+def test_finalize_reports_non_finite_mix_as_step_5(instrumental, bundle):
+    config = RemixConfig()
+    samples = np.array(chord_tones([0], 8.25, SR, amplitude=0.2).samples)
+    samples[0, SR] = np.nan
+    stems = StemSet(instrumental=instrumental, vocals=AudioBuffer(samples, SR))
+    gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
+    gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
+    with pytest.raises(PipelineStepError) as info:
+        finalize_remix(gen, stems, gen_grid, bundle.beat_grid, config)
+    assert info.value.step == 5
+
+
 def test_finalize_aligns_and_caps_peak(instrumental, bundle):
     config = RemixConfig()
     gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)

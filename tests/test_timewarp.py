@@ -10,12 +10,93 @@ from chordweave.timewarp import (
     RATIO_MAX,
     AnchorMap,
     WsolaConfig,
+    _search_offsets,
     align_to_anchors,
     build_anchor_map,
     wsola_stretch,
 )
 
 SR = 44100
+
+
+# The per-grain WSOLA that the batched search replaced, kept as the
+# reference: one FFT correlation of size next_pow2(region + grain - 1)
+# per grain, segment after segment, with the same near-tie rule.
+
+
+def _reference_correlate(region, template):
+    n, m = len(region), len(template)
+    size = 1 << (n + m - 1).bit_length()
+    spectrum = np.fft.rfft(region, size) * np.fft.rfft(template[::-1], size)
+    return np.fft.irfft(spectrum, size)[m - 1 : n]
+
+
+def _reference_offsets(x, target_len, config):
+    n, grain, hop = len(x), config.frame_length, config.hop
+    max_start = n - grain
+    n_grains = 1 if target_len <= grain else int(np.ceil((target_len - grain) / hop)) + 1
+    starts = np.zeros(n_grains, dtype=np.int64)
+    prev = 0
+    for k in range(n_grains):
+        nominal = min(max(int(round(k * hop * n / target_len)), 0), max_start)
+        if k == 0:
+            starts[0] = prev = nominal
+            continue
+        template = x[prev + hop : prev + hop + grain]
+        template = np.concatenate([template, np.zeros(grain - len(template))])
+        lo = max(nominal - config.search_tolerance, 0)
+        hi = min(nominal + config.search_tolerance, max_start)
+        if hi <= lo:
+            starts[k] = prev = min(max(nominal, lo), max(hi, lo))
+            continue
+        region = x[lo : hi + grain]
+        scores = _reference_correlate(region, template)
+        best = float(scores.max())
+        tol = max(1e-6 * abs(best), 1e-9 * np.linalg.norm(template) * np.linalg.norm(region))
+        near = np.flatnonzero(scores >= best - tol)
+        starts[k] = prev = lo + int(near[np.argmin(np.abs(near + lo - nominal))])
+    return starts
+
+
+def _reference_overlap_add(x, starts, target_len, config):
+    grain, hop = config.frame_length, config.hop
+    window = np.hanning(grain)
+    length = (len(starts) - 1) * hop + grain
+    out = np.zeros(length)
+    weight = np.zeros(length)
+    for k, start in enumerate(starts):
+        seg = x[start : start + grain]
+        seg = np.concatenate([seg, np.zeros(grain - len(seg))])
+        out[k * hop : k * hop + grain] += seg * window
+        weight[k * hop : k * hop + grain] += window
+    np.divide(out, weight, out=out, where=weight > 1e-8)
+    return out[:target_len]
+
+
+def _reference_to_length(samples, target_len, config):
+    n = samples.shape[1]
+    if n == target_len:
+        return samples.copy()
+    if target_len == 0:
+        return np.zeros((samples.shape[0], 0))
+    if n == 0:
+        return np.zeros((samples.shape[0], target_len))
+    if n <= config.frame_length or target_len <= config.frame_length:
+        dst = np.linspace(0.0, n - 1, target_len)
+        return np.stack([np.interp(dst, np.arange(n, dtype=np.float64), ch) for ch in samples])
+    mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
+    starts = _reference_offsets(mono, target_len, config)
+    return np.stack([_reference_overlap_add(ch, starts, target_len, config) for ch in samples])
+
+
+def reference_align(buffer, anchors, config):
+    rate, total = buffer.sample_rate, buffer.n_samples
+    pieces = []
+    for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:]):
+        lo, hi = min(int(round(s0 * rate)), total), min(int(round(s1 * rate)), total)
+        target_len = int(round(t1 * rate)) - int(round(t0 * rate))
+        pieces.append(_reference_to_length(buffer.samples[:, lo:hi], target_len, config))
+    return np.concatenate(pieces, axis=1)
 
 
 def dominant_bin(buffer):
@@ -200,3 +281,92 @@ def test_align_length_property(ratios):
     buf = AudioBuffer(np.random.default_rng(7).normal(0, 0.1, (len(ratios) + 1) * 22050), 22050)
     out = align_to_anchors(buf, AnchorMap(tuple(pairs)))
     assert out.n_samples == round(pairs[-1][1] * 22050)
+
+
+def test_tie_floor_keeps_grain_on_nominal_offset():
+    # Stretched to 0.4x, grain 1 has nominal start 1280 and searches
+    # x[768 : 2816].  Its template x[512 : 1536] holds the clicks at 650
+    # and 900, the region only the one at 900, and at no searched lag do
+    # two clicks meet: every true score is 0, and the grain must stay on
+    # its nominal offset rather than follow FFT round-off.
+    x = np.zeros(20000)
+    x[[650, 900]] = 1.0
+    starts = _search_offsets(x, [(0, len(x), 8000)], WsolaConfig())[0]
+    assert starts[1] == 1280
+
+
+def test_equally_near_ties_go_to_the_earlier_offset():
+    # Grain 1 as above: its template's click at 512 meets the region's
+    # clicks at 1180 and 1380, 100 samples either side of nominal.
+    x = np.zeros(20000)
+    x[[512, 1180, 1380]] = 1.0
+    starts = _search_offsets(x, [(0, len(x), 8000)], WsolaConfig())[0]
+    assert starts[1] == 1180
+
+
+SIGNALS = ("noise", "tone", "clicks", "silence", "gapped")
+
+
+def _signal(kind, rng, channels, n):
+    if kind == "silence":
+        return np.zeros((channels, n))
+    if kind == "clicks":
+        x = np.zeros((channels, n))
+        at = np.cumsum(rng.integers(200, 3000, n // 200 + 1))
+        at = at[at < n]
+        x[:, at] = rng.uniform(0.2, 1.0, (channels, len(at)))
+        return x
+    if kind == "tone":
+        t = np.arange(n) / 8000.0
+        return np.stack([np.sin(2 * np.pi * rng.uniform(50, 2000) * t) for _ in range(channels)])
+    x = rng.normal(0.0, 0.3, (channels, n))
+    if kind == "gapped":
+        lo = int(rng.integers(0, n))
+        x[:, lo : lo + int(rng.integers(500, 5000))] = 0.0
+    return x
+
+
+@st.composite
+def warp_cases(draw):
+    """A buffer and an anchor map whose segments are stretched (ratio
+    0.5-2), copied (ratio 1) or too short to grain (resampled)."""
+    pairs, src, tgt = [(0.0, 0.0)], 0, 0
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["stretch", "copy", "short"]))
+        n = draw(st.integers(16, 1024) if kind == "short" else st.integers(1025, 6000))
+        ratio = 1.0 if kind == "copy" else draw(st.floats(0.5, 2.0))
+        src += n
+        tgt += max(1, round(n * ratio))
+        pairs.append((src / 8000, tgt / 8000))
+    signal = draw(st.sampled_from(SIGNALS))
+    channels = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = _signal(signal, rng, channels, src + draw(st.integers(0, 2000)))
+    return AudioBuffer(samples, 8000), AnchorMap(tuple(pairs))
+
+
+@given(warp_cases())
+@settings(max_examples=40, deadline=None)
+def test_align_matches_per_grain_reference(case):
+    buffer, anchors = case
+    out = align_to_anchors(buffer, anchors)
+    expected = reference_align(buffer, anchors, WsolaConfig())
+    assert np.array_equal(np.asarray(out.samples), expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        WsolaConfig(frame_length=256, search_tolerance=100),
+        WsolaConfig(frame_length=256, synthesis_hop=96, search_tolerance=64),
+        WsolaConfig(frame_length=256, search_tolerance=0),
+    ],
+    ids=["half-hop", "short-hop", "no-search"],
+)
+@pytest.mark.parametrize("signal", SIGNALS)
+@pytest.mark.parametrize("ratio", [0.3, 1.7, 3.5])
+def test_stretch_matches_per_grain_reference(config, signal, ratio):
+    samples = _signal(signal, np.random.default_rng(3), 2, 6000)
+    out = wsola_stretch(AudioBuffer(samples, 8000), ratio, config)
+    expected = _reference_to_length(samples, int(round(6000 * ratio)), config)
+    assert np.array_equal(np.asarray(out.samples), expected)
