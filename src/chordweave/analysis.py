@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, stft
+from .audio import AudioBuffer, _stft_blocks
 from .chords import (
     FOUR_FOUR,
     NO_CHORD,
@@ -64,19 +64,21 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
 
     Each in-range bin's magnitude is added to its nearest-semitone pitch
     class; frames are then normalised per the config.  The buffer must be
-    mono (see to_mono).
+    mono (see to_mono).  The STFT is folded block by block as it streams,
+    so the full magnitude matrix is never held.
     """
     if config is None:
         config = ChromagramConfig()
     if buffer.n_channels != 1:
         raise ValueError("chromagram expects a mono buffer; call to_mono first")
-    spec = stft(buffer, config.window_size, config.hop_size)
-    pcs, mask = _bin_pitch_classes(spec.n_bins, buffer.sample_rate, config.window_size, config)
-    values = np.zeros((spec.n_frames, 12))
-    for pc in range(12):
-        cols = mask & (pcs == pc)
-        if np.any(cols):
-            values[:, pc] = spec.magnitudes[:, cols].sum(axis=1)
+    n_frames, blocks = _stft_blocks(buffer.samples[0], config.window_size, config.hop_size)
+    n_bins = config.window_size // 2 + 1
+    pcs, mask = _bin_pitch_classes(n_bins, buffer.sample_rate, config.window_size, config)
+    folds = [mask & (pcs == pc) for pc in range(12)]
+    values = np.zeros((n_frames, 12))
+    for first, mags in blocks:
+        for pc, cols in enumerate(folds):
+            values[first : first + len(mags), pc] = mags[:, cols].sum(axis=1)
     if config.normalization == "max":
         peaks = values.max(axis=1, keepdims=True)
         np.divide(values, peaks, out=values, where=peaks > 0)

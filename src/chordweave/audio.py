@@ -121,18 +121,17 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise WavFormatError("fmt chunk declares zero channels")
     if sample_rate < 1:
         raise WavFormatError("fmt chunk declares sample rate 0")
-    if codec == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / _PCM16_SCALE
-    elif codec == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
+    if (codec, bits) not in ((_WAVE_FORMAT_PCM, 16), (_WAVE_FORMAT_IEEE_FLOAT, 32)):
+        raise WavFormatError(f"unsupported codec: format tag {codec}, {bits} bits per sample")
+    if len(payload) % (n_channels * bits // 8):
+        raise WavFormatError("data chunk does not hold a whole number of sample frames")
+    if codec == _WAVE_FORMAT_PCM:
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _PCM16_SCALE
+    else:
         raw = np.frombuffer(payload, dtype="<f4")
         if not np.isfinite(raw).all():
             raise WavFormatError("float32 data holds NaN or infinite samples")
         samples = raw.astype(np.float64)
-    else:
-        raise WavFormatError(f"unsupported codec: format tag {codec}, {bits} bits per sample")
-    if samples.size % n_channels:
-        raise WavFormatError("data chunk does not hold a whole number of sample frames")
     frames = samples.reshape(-1, n_channels).T
     return AudioBuffer(frames, sample_rate)
 
@@ -234,30 +233,56 @@ class Spectrogram:
         )
 
 
-def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> Spectrogram:
-    """Hann-windowed magnitude STFT of a mono buffer, no padding.
+def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int):
+    """The STFT frame count of a 1-D signal, and its frames' magnitudes in blocks.
 
-    Frame count is floor((n - window) / hop) + 1; a clip shorter than one
-    window yields zero frames.
+    Returns (n_frames, blocks): blocks yields (first_frame, |rfft(frames
+    * hann)|) for consecutive runs of frames.  Frames are rows of one
+    strided view of x, so only the windowed rows of the current block
+    (about 2**18 samples) are ever materialised.  A signal shorter than
+    one window has no frames.  The sizes are checked here, eagerly; the
+    blocks are computed as they are consumed.
+
+    No block is a single frame unless the signal is: NumPy sums the
+    columns of a one-row gather pairwise but those of a taller one in
+    order, so a consumer's per-frame sums match those taken over the
+    whole matrix only if every block has at least two rows.
     """
-    if buffer.n_channels != 1:
-        raise ValueError("stft expects a mono buffer; call to_mono first")
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError("window_size must be a power of two >= 2")
     if hop_size < 1:
         raise ValueError("hop_size must be >= 1")
-    x = buffer.samples[0]
-    n_bins = window_size // 2 + 1
-    if buffer.n_samples < window_size:
-        return Spectrogram(np.zeros((0, n_bins)), buffer.sample_rate, window_size, hop_size)
-    n_frames = (buffer.n_samples - window_size) // hop_size + 1
+    if x.shape[0] < window_size:
+        return 0, iter(())
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size]
+    n_frames = frames.shape[0]
     window = np.hanning(window_size)
-    mags = np.empty((n_frames, n_bins))
-    # Chunked so the windowed-frame scratch matrix stays modest.
-    block = max(1, 2**18 // window_size)
-    offsets = np.arange(window_size)
-    for start in range(0, n_frames, block):
-        stop = min(start + block, n_frames)
-        idx = np.arange(start, stop)[:, None] * hop_size + offsets[None, :]
-        mags[start:stop] = np.abs(np.fft.rfft(x[idx] * window, axis=1))
+    block = max(2, 2**18 // window_size)
+
+    def blocks():
+        start = 0
+        while start < n_frames:
+            stop = start + block
+            if stop + 1 == n_frames:
+                stop = n_frames  # the last frame joins this block
+            yield start, np.abs(np.fft.rfft(frames[start:stop] * window, axis=1))
+            start = stop
+
+    return n_frames, blocks()
+
+
+def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> Spectrogram:
+    """Hann-windowed magnitude STFT of a mono buffer, no padding.
+
+    Frame count is floor((n - window) / hop) + 1; a clip shorter than one
+    window yields zero frames.  Frames stream in blocks from a strided
+    view of the samples: no full-size matrix of gathered or windowed
+    frames is built, only the magnitudes the result holds.
+    """
+    if buffer.n_channels != 1:
+        raise ValueError("stft expects a mono buffer; call to_mono first")
+    n_frames, blocks = _stft_blocks(buffer.samples[0], window_size, hop_size)
+    mags = np.empty((n_frames, window_size // 2 + 1))
+    for first, block in blocks:
+        mags[first : first + len(block)] = block
     return Spectrogram(mags, buffer.sample_rate, window_size, hop_size)

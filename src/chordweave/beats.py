@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, stft
+from .audio import AudioBuffer, _stft_blocks
 from .formats import FormatError, dump_document, load_document
 
 DEFAULT_MIN_BPM = 60.0
@@ -23,6 +23,10 @@ DEFAULT_MAX_BPM = 200.0
 _PREFERRED_BPM_LO = 90.0
 _PREFERRED_BPM_HI = 180.0
 _OCTAVE_STRENGTH = 0.95
+# How far below a window's FFT-autocorrelation maximum, as a fraction of
+# lag 0, a lag is still read exactly when picking the window's peak: far
+# above the FFT's round-off, far below real differences between lags.
+_AUTOCORRELATION_SLACK = 1e-9
 
 
 class NoTempoError(ValueError):
@@ -72,21 +76,26 @@ def onset_envelope(
     Frame k > 0 sums the positive magnitude increases from frame k-1;
     frame 0 is defined as zero.  Analysis windows are centred on frame
     times (the signal is zero-padded by half a window up front), so an
-    onset at time t spikes at the frame nearest t * frame_rate.
+    onset at time t spikes at the frame nearest t * frame_rate.  The
+    spectrum streams through in blocks, carrying the previous block's
+    last frame, so no full-size magnitude matrix is built or copied.
     """
     if buffer.n_channels != 1:
         raise ValueError("onset envelope expects a mono buffer; call to_mono first")
     if buffer.n_samples < window_size:
         raise ValueError(f"buffer holds {buffer.n_samples} samples; need {window_size}")
-    padded = AudioBuffer(
-        np.concatenate([np.zeros((1, window_size // 2)), buffer.samples], axis=1),
-        buffer.sample_rate,
-    )
-    spec = stft(padded, window_size, hop_size)
-    flux = np.zeros(spec.n_frames)
-    if spec.n_frames > 1:
-        diffs = np.diff(spec.magnitudes, axis=0)
-        flux[1:] = np.clip(diffs, 0.0, None).sum(axis=1)
+    padded = np.concatenate([np.zeros(window_size // 2), buffer.samples[0]])
+    n_frames, blocks = _stft_blocks(padded, window_size, hop_size)
+    flux = np.empty(n_frames)
+    previous = None
+    for first, mags in blocks:
+        # Frame k's rise over frame k-1; frame 0 rises over itself.
+        rise = np.empty_like(mags)
+        np.subtract(mags[0], mags[0] if previous is None else previous, out=rise[0])
+        np.subtract(mags[1:], mags[:-1], out=rise[1:])
+        np.clip(rise, 0.0, None, out=rise)
+        flux[first : first + len(mags)] = rise.sum(axis=1)
+        previous = mags[-1]
     return OnsetEnvelope(flux, buffer.sample_rate / hop_size)
 
 
@@ -111,24 +120,46 @@ def estimate_bpm(
     x = envelope.values - envelope.values.mean()
     if not np.any(x):
         raise NoTempoError("envelope is flat; no periodicity to measure")
-    ac = np.correlate(x, x, mode="full")[envelope.n_frames - 1 :]
+    n = envelope.n_frames
+    # The FFT autocorrelation locates peaks in O(n log n); its values are
+    # off by round-off of order eps * log(n) * ac[0].  Every value the
+    # tempo is computed from is then read exactly, as the direct sum of
+    # lag products, so the tempo does not depend on that round-off.  An
+    # FFT size of at least 2n - 1 keeps the circular wrap off lags < n.
+    n_fft = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(x, n_fft)
+    approx = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n_fft)[:n]
+    slack = _AUTOCORRELATION_SLACK * approx[0]
+
+    def ac(k: int) -> float:
+        return float(np.dot(x[k:], x[: n - k]))
+
+    def peak(lo: int, hi: int) -> int:
+        """The first lag in lo..hi whose exact value is largest.
+
+        A lag that the FFT puts more than `slack` below the window's
+        maximum is below it exactly too, so only the rest are read.
+        """
+        window = approx[lo : hi + 1]
+        return max((lo + np.flatnonzero(window >= window.max() - slack)).tolist(), key=ac)
+
     rate = envelope.frame_rate_hz
     lo = max(int(np.ceil(60.0 * rate / max_bpm)), 1)
-    hi = min(int(np.floor(60.0 * rate / min_bpm)), envelope.n_frames - 2)
+    hi = min(int(np.floor(60.0 * rate / min_bpm)), n - 2)
     if lo > hi:
         raise NoTempoError("envelope too short for the requested tempo range")
-    lag = lo + int(np.argmax(ac[lo : hi + 1]))
+    lag = peak(lo, hi)
     bpm_at = lambda k: 60.0 * rate / k
     if not _PREFERRED_BPM_LO <= bpm_at(lag) < _PREFERRED_BPM_HI:
         for candidate in (int(round(lag / 2)), lag * 2):
             if (
                 lo <= candidate <= hi
-                and ac[candidate] >= _OCTAVE_STRENGTH * ac[lag]
+                and ac(candidate) >= _OCTAVE_STRENGTH * ac(lag)
                 and _PREFERRED_BPM_LO <= bpm_at(candidate) < _PREFERRED_BPM_HI
             ):
                 lag = candidate
                 break
-    refined = lag + _parabolic_offset(ac, lag)
+    refined = lag + _parabolic_offset(ac(lag - 1), ac(lag), ac(lag + 1))
     # Tighten the sub-frame estimate with the peak's in-range multiples:
     # the localization error at the m-th multiple divides by m, so a
     # least-squares fit over all of them keeps a rigid grid built from
@@ -140,26 +171,26 @@ def estimate_bpm(
     num = refined
     den = 1.0
     half = max(lag // 2, 2)
-    for m in range(2, (envelope.n_frames // 2) // lag + 1):
+    for m in range(2, (n // 2) // lag + 1):
         center = int(round(m * refined))
         w_lo = max(center - half, 1)
-        w_hi = min(center + half, envelope.n_frames - 2)
+        w_hi = min(center + half, n - 2)
         if w_lo >= w_hi:
             break
-        peak = w_lo + int(np.argmax(ac[w_lo : w_hi + 1]))
-        c_lo = max(peak - 2, 1)
-        c_hi = min(peak + 2, envelope.n_frames - 2)
-        weights = np.clip(ac[c_lo : c_hi + 1], 0.0, None)
-        if weights.sum() <= 0.0 or abs(peak / m - refined) > 1.0:
+        top = peak(w_lo, w_hi)
+        if abs(top / m - refined) > 1.0:
             continue
-        num += m * float((np.arange(c_lo, c_hi + 1) * weights).sum() / weights.sum())
+        lags = np.arange(max(top - 2, 1), min(top + 2, n - 2) + 1)
+        weights = np.clip([ac(k) for k in lags], 0.0, None)
+        if weights.sum() <= 0.0:
+            continue
+        num += m * float((lags * weights).sum() / weights.sum())
         den += m * m
     return float(np.clip(60.0 * rate / (num / den), min_bpm, max_bpm))
 
 
-def _parabolic_offset(ac: np.ndarray, k: int) -> float:
-    """Sub-sample offset of the extremum through (k-1, k, k+1), in [-1/2, 1/2]."""
-    y_prev, y_mid, y_next = ac[k - 1], ac[k], ac[k + 1]
+def _parabolic_offset(y_prev: float, y_mid: float, y_next: float) -> float:
+    """Offset in [-1/2, 1/2] of the extremum of the parabola through y at -1, 0, 1."""
     denom = y_prev - 2.0 * y_mid + y_next
     if denom == 0:
         return 0.0

@@ -78,16 +78,16 @@ def render_matrix(
     if frame_rate_hz <= 0:
         raise ValueError("frame_rate_hz must be > 0")
     n_frames = int(round(seq.duration_s * frame_rate_hz))
+    centres = (np.arange(n_frames) + 0.5) / frame_rate_hz
+    starts = np.array([e.start_s for e in seq.events])
+    ends = np.array([e.end_s for e in seq.events])
+    # The event each frame centre falls in, found as ChordSequence.chord_at
+    # finds it: the last start at or before the centre, if it ends after.
+    index = np.searchsorted(starts, centres, side="right") - 1
+    inside = (index >= 0) & (centres < ends[np.maximum(index, 0)])
+    table = np.array([chord_to_chroma(e.chord) for e in seq.events]).reshape(-1, 12)
     values = np.zeros((n_frames, 12))
-    cache: dict[Chord, np.ndarray] = {}
-    for k in range(n_frames):
-        chord = seq.chord_at((k + 0.5) / frame_rate_hz)
-        if chord is None or chord.is_no_chord:
-            continue
-        vec = cache.get(chord)
-        if vec is None:
-            vec = cache[chord] = chord_to_chroma(chord)
-        values[k] = vec
+    values[inside] = table[index[inside]]
     return ChromaMatrix(values, frame_rate_hz)
 
 
@@ -99,7 +99,7 @@ def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
         "format": CHROMA_MATRIX_FORMAT,
         "frame_rate_hz": float(matrix.frame_rate_hz),
         "frames": matrix.n_frames,
-        "data": [[float(v) for v in row] for row in matrix.values],
+        "data": matrix.values.tolist(),
     }
 
 

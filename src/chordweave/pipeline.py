@@ -264,6 +264,18 @@ def build_request(bundle: ConditioningBundle) -> GenerationRequest:
 DEFAULT_TIMEOUT_S = 300.0
 DURATION_TOLERANCE = 0.05
 
+# The largest WAV a backend may answer with: the longest accepted
+# duration at 192 kHz, 8 channels and 32 bits, plus 1 MiB for headers.
+_MAX_RESPONSE_RATE_HZ = 192_000
+_MAX_RESPONSE_FRAME_BYTES = 8 * 4
+_RESPONSE_HEADER_BYTES = 1 << 20
+
+
+def max_response_bytes(duration_s: float) -> int:
+    """The response size cap for a request of duration_s seconds."""
+    frames = int(np.ceil(duration_s * (1.0 + DURATION_TOLERANCE) * _MAX_RESPONSE_RATE_HZ))
+    return frames * _MAX_RESPONSE_FRAME_BYTES + _RESPONSE_HEADER_BYTES
+
 
 def request_generation(
     req: GenerationRequest,
@@ -277,9 +289,11 @@ def request_generation(
     Live mode posts the request document as application/json, decodes
     the response as WAV, and checks the duration is within 5% of the
     request; transport failures, undecodable responses, and duration
-    mismatches are reported as distinct errors.  dry_run writes the
-    exact request document to out_path and returns None without touching
-    the network.
+    mismatches are reported as distinct errors.  A response larger than
+    max_response_bytes(req.duration_s) is refused as non-audio: before
+    reading when its Content-Length declares it, otherwise after reading
+    one byte past the cap.  dry_run writes the exact request document to
+    out_path and returns None without touching the network.
     """
     if mode == "dry_run":
         if out_path is None:
@@ -294,13 +308,23 @@ def request_generation(
     http_req = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
+    limit = max_response_bytes(req.duration_s)
     try:
         with urllib.request.urlopen(http_req, timeout=timeout_s) as response:
-            payload = response.read()
+            declared = response.headers.get("Content-Length", "")
+            size = int(declared) if declared.isdigit() else None
+            if size is None or size <= limit:
+                payload = response.read(limit + 1)
+                size = len(payload)
     except urllib.error.HTTPError as exc:
         raise TransportError(f"endpoint returned HTTP {exc.code}: {exc.reason}") from exc
     except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
         raise TransportError(f"could not reach {endpoint}: {exc}") from exc
+    if size > limit:
+        raise NonAudioResponseError(
+            f"response exceeds {limit} bytes, more than any WAV "
+            f"a {req.duration_s:.2f} s request allows"
+        )
     try:
         generated = decode_wav(payload)
     except WavFormatError as exc:
@@ -331,7 +355,8 @@ def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuff
     if ceiling_dbfs > 0:
         raise ValueError("ceiling_dbfs must be <= 0")
     ceiling = 10.0 ** (ceiling_dbfs / 20.0)
-    peak = float(np.max(np.abs(buffer.samples))) if buffer.n_samples else 0.0
+    samples = buffer.samples
+    peak = max(float(samples.max()), -float(samples.min())) if buffer.n_samples else 0.0
     if not np.isfinite(peak):
         raise ValueError("cannot normalize a buffer holding NaN or infinite samples")
     if peak <= ceiling:

@@ -148,8 +148,8 @@ def _overlap_add(x: np.ndarray, starts: np.ndarray, target_len: int, config: Wso
 def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> list[np.ndarray]:
     """Stretch samples[:, lo:hi] to exactly target_len samples per (lo, hi, target_len).
 
-    A segment already target_len long is copied unchanged, and one too
-    short to grain is resampled.  The rest are stretched by WSOLA, with
+    A segment already target_len long passes through as a view, and one
+    too short to grain is resampled.  The rest are stretched by WSOLA, with
     grain offsets searched on the channel mean so channels stay
     phase-locked, all segments in one search.
     """
@@ -159,7 +159,7 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> list[
         segment = samples[:, lo:hi]
         n = hi - lo
         if n == target_len:
-            pieces[i] = segment.copy()
+            pieces[i] = segment
         elif target_len == 0:
             pieces[i] = np.zeros((samples.shape[0], 0))
         elif n == 0:

@@ -14,9 +14,18 @@ def stub_server():
     """Local HTTP endpoint with a configurable canned response.
 
     Yields (url, state); tests mutate state["body"] / state["content_type"]
-    before the request and read state["requests"] afterwards.
+    before the request and read state["requests"] afterwards.  The
+    Content-Length header states the body's length unless
+    state["content_length"] is set: a string is sent as the header's
+    value, and False sends no header (the body then ends at close).
     """
-    state = {"body": b"", "content_type": "audio/wav", "status": 200, "requests": []}
+    state = {
+        "body": b"",
+        "content_type": "audio/wav",
+        "status": 200,
+        "content_length": None,
+        "requests": [],
+    }
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -24,9 +33,16 @@ def stub_server():
             state["requests"].append(self.rfile.read(length))
             self.send_response(state["status"])
             self.send_header("Content-Type", state["content_type"])
-            self.send_header("Content-Length", str(len(state["body"])))
+            length = state["content_length"]
+            if length is None:
+                length = str(len(state["body"]))
+            if length is not False:
+                self.send_header("Content-Length", length)
             self.end_headers()
-            self.wfile.write(state["body"])
+            try:
+                self.wfile.write(state["body"])
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client stopped reading early, as a size cap does
 
         def log_message(self, *args):
             pass

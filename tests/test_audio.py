@@ -4,8 +4,9 @@ import struct
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
+from chordweave.analysis import ChromagramConfig, _bin_pitch_classes, compute_chromagram
 from chordweave.audio import (
     AudioBuffer,
     WavFormatError,
@@ -17,6 +18,7 @@ from chordweave.audio import (
     to_mono,
     write_wav,
 )
+from chordweave.beats import onset_envelope
 from chordweave.synth import sine
 
 
@@ -184,3 +186,161 @@ def test_wav_round_trip_property(samples, rate):
     assert np.abs(np.asarray(pcm.samples) - np.asarray(buf.samples)).max() <= 1.0 / 32768
     f32 = decode_wav(encode_wav(buf, "float32"))
     assert np.abs(np.asarray(f32.samples) - np.asarray(buf.samples)).max() <= 1e-7
+
+
+# Header fields of encode_wav's output: (byte offset, struct code).
+_WAV_FIELDS = {
+    "riff_size": (4, "<I"),
+    "fmt_size": (16, "<I"),
+    "codec": (20, "<H"),
+    "channels": (22, "<H"),
+    "sample_rate": (24, "<I"),
+    "byte_rate": (28, "<I"),
+    "block_align": (32, "<H"),
+    "bits": (34, "<H"),
+    "data_size": (40, "<I"),
+}
+
+
+@st.composite
+def _mutated_wav(draw):
+    """A valid PCM16 or float32 WAV with some header fields overwritten."""
+    channels = draw(st.integers(1, 3))
+    frames = draw(st.integers(0, 40))
+    values = draw(
+        st.lists(st.floats(-1.0, 1.0, width=32), min_size=channels * frames,
+                 max_size=channels * frames)
+    )
+    encoding = draw(st.sampled_from(["pcm16", "float32"]))
+    samples = np.array(values, dtype=np.float64).reshape(channels, frames)
+    data = bytearray(encode_wav(AudioBuffer(samples, 8000), encoding))
+    for name in draw(st.lists(st.sampled_from(sorted(_WAV_FIELDS)), min_size=1, max_size=4)):
+        offset, code = _WAV_FIELDS[name]
+        (old,) = struct.unpack_from(code, data, offset)
+        top = 2 ** (8 * struct.calcsize(code)) - 1
+        new = draw(
+            st.one_of(
+                st.integers(0, top),
+                st.sampled_from([0, 1, 2, 3, 8, 16, 24, 32, 64, top]),
+                st.integers(-3, 3).map(lambda d: (old + d) % (top + 1)),
+            )
+        )
+        struct.pack_into(code, data, offset, new)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(data))))
+    return bytes(data if cut is None else data[:cut])
+
+
+def _with_data_size(data: bytes, size: int) -> bytes:
+    return data[:40] + struct.pack("<I", size) + data[44:]
+
+
+_PCM16_WAV = encode_wav(AudioBuffer(np.zeros(10), 8000), "pcm16")
+_FLOAT32_WAV = encode_wav(AudioBuffer(np.zeros(10), 8000), "float32")
+
+
+@settings(max_examples=300)
+@given(_mutated_wav())
+@example(_with_data_size(_PCM16_WAV, 19))
+@example(_with_data_size(_FLOAT32_WAV, 38))
+def test_decode_mutated_headers_decode_finite_or_raise_wav_error(data):
+    try:
+        buf = decode_wav(data)
+    except WavFormatError:
+        return
+    assert np.isfinite(np.asarray(buf.samples)).all()
+
+
+# Reference for the streaming framer: the index-gather STFT it replaced,
+# and the onset flux and chroma fold computed from its full matrix.
+
+
+def _gather_stft(x, window_size, hop_size):
+    n_bins = window_size // 2 + 1
+    if len(x) < window_size:
+        return np.zeros((0, n_bins))
+    n_frames = (len(x) - window_size) // hop_size + 1
+    window = np.hanning(window_size)
+    mags = np.empty((n_frames, n_bins))
+    block = max(1, 2**18 // window_size)
+    offsets = np.arange(window_size)
+    for start in range(0, n_frames, block):
+        stop = min(start + block, n_frames)
+        idx = np.arange(start, stop)[:, None] * hop_size + offsets[None, :]
+        mags[start:stop] = np.abs(np.fft.rfft(x[idx] * window, axis=1))
+    return mags
+
+
+def _gather_onset_flux(x, window_size, hop_size):
+    mags = _gather_stft(np.concatenate([np.zeros(window_size // 2), x]), window_size, hop_size)
+    flux = np.zeros(len(mags))
+    if len(mags) > 1:
+        flux[1:] = np.clip(np.diff(mags, axis=0), 0.0, None).sum(axis=1)
+    return flux
+
+
+def _gather_chromagram(x, rate, config):
+    mags = _gather_stft(x, config.window_size, config.hop_size)
+    pcs, mask = _bin_pitch_classes(mags.shape[1], rate, config.window_size, config)
+    values = np.zeros((len(mags), 12))
+    for pc in range(12):
+        cols = mask & (pcs == pc)
+        if np.any(cols):
+            values[:, pc] = mags[:, cols].sum(axis=1)
+    if config.normalization == "max":
+        peaks = values.max(axis=1, keepdims=True)
+        np.divide(values, peaks, out=values, where=peaks > 0)
+    elif config.normalization == "l2":
+        norms = np.linalg.norm(values, axis=1, keepdims=True)
+        np.divide(values, norms, out=values, where=norms > 0)
+    return values
+
+
+# (window, hop) pairs: overlapping, hop = window, hop > window, the onset
+# and chroma defaults, and a window too long for 2**18-sample blocks.
+_FRAMINGS = [(256, 64), (512, 512), (128, 200), (1024, 512), (4096, 2048), (2**18, 2**17)]
+
+
+@st.composite
+def _framed_signal(draw):
+    """A noise signal whose length sits at or near a window or block edge."""
+    window, hop = draw(st.sampled_from(_FRAMINGS))
+    block = max(1, 2**18 // window)
+    frames = draw(
+        st.sampled_from([0, 1, 2, 3, block - 1, block, block + 1, 2 * block, 2 * block + 1])
+    )
+    n = max(0, window + (frames - 1) * hop + draw(st.integers(-2, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal(n), window, hop
+
+
+@given(_framed_signal())
+def test_stft_matches_gather_reference(case):
+    x, window, hop = case
+    spec = stft(AudioBuffer(x, 8000), window, hop)
+    assert np.array_equal(spec.magnitudes, _gather_stft(x, window, hop))
+
+
+@given(_framed_signal())
+def test_onset_envelope_matches_gather_reference(case):
+    x, window, hop = case
+    if len(x) < window:
+        return
+    env = onset_envelope(AudioBuffer(x, 8000), window, hop)
+    assert np.array_equal(env.values, _gather_onset_flux(x, window, hop))
+
+
+def _noise_frames(window, hop, frames):
+    """A noise signal of exactly `frames` STFT frames."""
+    return np.random.default_rng(frames).standard_normal(window + (frames - 1) * hop), window, hop
+
+
+@given(_framed_signal(), st.sampled_from(["max", "l2", "none"]))
+# A last frame past a whole block, and blocks capped at one frame by
+# their 2**18-sample size: a one-row block would fold in another order.
+@example(_noise_frames(4096, 2048, 65), "none")
+@example(_noise_frames(2**18, 2**17, 3), "none")
+def test_chromagram_matches_gather_reference(case, normalization):
+    x, window, hop = case
+    config = ChromagramConfig(window_size=window, hop_size=hop, normalization=normalization)
+    mat = compute_chromagram(AudioBuffer(x, 44100), config)
+    assert np.array_equal(mat.values, _gather_chromagram(x, 44100, config))

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from chordweave.audio import AudioBuffer, to_mono
 from chordweave.beats import (
@@ -62,6 +64,97 @@ def test_estimate_bpm_needs_length():
     env = onset_envelope(to_mono(click_track(120.0, 2.0, SR)))
     with pytest.raises(NoTempoError):
         estimate_bpm(env)
+
+
+def _correlate_bpm(envelope, min_bpm=60.0, max_bpm=200.0):
+    """Reference: estimate_bpm read off np.correlate's O(n^2) autocorrelation."""
+    if envelope.duration_s < 4.0:
+        raise NoTempoError("short")
+    x = envelope.values - envelope.values.mean()
+    if not np.any(x):
+        raise NoTempoError("flat")
+    ac = np.correlate(x, x, mode="full")[envelope.n_frames - 1 :]
+    rate = envelope.frame_rate_hz
+    lo = max(int(np.ceil(60.0 * rate / max_bpm)), 1)
+    hi = min(int(np.floor(60.0 * rate / min_bpm)), envelope.n_frames - 2)
+    if lo > hi:
+        raise NoTempoError("short")
+    lag = lo + int(np.argmax(ac[lo : hi + 1]))
+    bpm_at = lambda k: 60.0 * rate / k
+    if not 90.0 <= bpm_at(lag) < 180.0:
+        for candidate in (int(round(lag / 2)), lag * 2):
+            if lo <= candidate <= hi and ac[candidate] >= 0.95 * ac[lag]:
+                if 90.0 <= bpm_at(candidate) < 180.0:
+                    lag = candidate
+                    break
+
+    def parabolic(k):
+        y_prev, y_mid, y_next = ac[k - 1], ac[k], ac[k + 1]
+        denom = y_prev - 2.0 * y_mid + y_next
+        if denom == 0:
+            return 0.0
+        return float(np.clip(0.5 * (y_prev - y_next) / denom, -0.5, 0.5))
+
+    refined = lag + parabolic(lag)
+    num, den = refined, 1.0
+    half = max(lag // 2, 2)
+    for m in range(2, (envelope.n_frames // 2) // lag + 1):
+        center = int(round(m * refined))
+        w_lo = max(center - half, 1)
+        w_hi = min(center + half, envelope.n_frames - 2)
+        if w_lo >= w_hi:
+            break
+        peak = w_lo + int(np.argmax(ac[w_lo : w_hi + 1]))
+        c_lo = max(peak - 2, 1)
+        c_hi = min(peak + 2, envelope.n_frames - 2)
+        weights = np.clip(ac[c_lo : c_hi + 1], 0.0, None)
+        if weights.sum() <= 0.0 or abs(peak / m - refined) > 1.0:
+            continue
+        num += m * float((np.arange(c_lo, c_hi + 1) * weights).sum() / weights.sum())
+        den += m * m
+    return float(np.clip(60.0 * rate / (num / den), min_bpm, max_bpm))
+
+
+@pytest.mark.parametrize(
+    "bpm, duration_s, window",
+    [
+        (61.0, 240.0, None),
+        (97.0, 238.0, None),
+        (143.0, 161.0, None),
+        (120.0, 60.0, None),
+        (187.0, 12.0, None),
+        (88.8, 200.0, (0.9, 1.1)),
+        (151.3, 180.0, (0.9, 1.1)),
+    ],
+)
+def test_estimate_bpm_matches_direct_correlation(bpm, duration_s, window):
+    env = onset_envelope(to_mono(click_track(bpm, duration_s, SR, accent_every=4, start_s=0.3)))
+    lo, hi = (60.0, 200.0) if window is None else (bpm * window[0], bpm * window[1])
+    assert estimate_bpm(env, lo, hi) == _correlate_bpm(env, lo, hi)
+
+
+@st.composite
+def _envelopes(draw):
+    """Noisy periodic envelopes; integer-valued ones make exact lag ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(300, 3000))
+    period = draw(st.floats(20.0, 90.0))
+    noise = draw(st.sampled_from([0.0, 0.3, 3.0]))
+    values = (np.arange(n) % period < 1.0) + noise * rng.random(n)
+    if draw(st.booleans()):
+        values = np.round(values * draw(st.sampled_from([1, 2, 5])))
+    return OnsetEnvelope(values, 86.1328125)
+
+
+@given(_envelopes())
+def test_estimate_bpm_matches_direct_correlation_on_noisy_envelopes(env):
+    try:
+        expected = _correlate_bpm(env)
+    except NoTempoError:
+        with pytest.raises(NoTempoError):
+            estimate_bpm(env)
+        return
+    assert estimate_bpm(env) == expected
 
 
 def test_track_beats_finds_offset_phase():

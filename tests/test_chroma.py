@@ -1,9 +1,19 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from chordweave.chords import QUALITIES, Chord, parse_chord_symbol, parse_progression
+from chordweave.chords import (
+    NO_CHORD,
+    QUALITIES,
+    Chord,
+    ChordEvent,
+    ChordSequence,
+    parse_chord_symbol,
+    parse_progression,
+)
 from chordweave.chroma import (
     CSV_BIN_LABELS,
     ChromaMatrix,
@@ -117,3 +127,54 @@ def test_chroma_matches_pitch_classes(name, root):
     chord = Chord(root, QUALITIES[name])
     vec = chord_to_chroma(chord)
     assert set(np.flatnonzero(vec)) == chord.pitch_classes()
+
+
+@st.composite
+def _sequences(draw):
+    """Contiguous chord sequences from an arbitrary start, rests included."""
+    chords = st.one_of(
+        st.just(NO_CHORD),
+        st.builds(
+            Chord,
+            st.integers(0, 11),
+            st.sampled_from(sorted(QUALITIES)).map(QUALITIES.get),
+            st.one_of(st.none(), st.integers(0, 11)),
+        ),
+    )
+    t = draw(st.sampled_from([0.0, 0.01, 0.37, 2.0]))
+    events = []
+    for chord, duration in draw(
+        st.lists(st.tuples(chords, st.floats(0.005, 3.0)), min_size=0, max_size=12)
+    ):
+        events.append(ChordEvent(chord, t, duration))
+        t = events[-1].end_s
+    return ChordSequence(tuple(events), 120.0)
+
+
+@given(_sequences(), st.sampled_from([1.0, 7.3, 50.0, 86.1328125, 200.0]))
+# 0.23 s at 50 Hz rounds up to 12 frames; the last one centres on the end.
+@example(ChordSequence((ChordEvent(Chord(0, QUALITIES["maj"]), 0.0, 0.23),), 120.0), 50.0)
+def test_render_matches_per_frame_chord_at(seq, rate):
+    """Reference: every frame centre looked up with ChordSequence.chord_at."""
+    n_frames = int(round(seq.duration_s * rate))
+    expected = np.zeros((n_frames, 12))
+    for k in range(n_frames):
+        chord = seq.chord_at((k + 0.5) / rate)
+        if chord is not None and not chord.is_no_chord:
+            expected[k] = chord_to_chroma(chord)
+    assert np.array_equal(render_matrix(seq, rate).values, expected)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_dict_data_encodes_as_per_float_rows(seed, frames):
+    """Reference: the document's rows built one Python float at a time."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((frames, 12)) * rng.choice([0.0, 1.0, 1e-300, 7.0], (frames, 12))
+    values[rng.random((frames, 12)) < 0.2] = -0.0
+    values[0, 0] = -0.0
+    matrix = ChromaMatrix(values, 50.0)
+    reference = {**chroma_matrix_to_dict(matrix)}
+    reference["data"] = [[float(v) for v in row] for row in matrix.values]
+    encoded = json.dumps(chroma_matrix_to_dict(matrix))
+    assert encoded == json.dumps(reference)
+    assert "[-0.0, " in encoded

@@ -22,6 +22,7 @@ from chordweave.pipeline import (
     generation_request_from_dict,
     generation_request_to_dict,
     ingest_stems,
+    max_response_bytes,
     peak_normalize,
     prepare_conditioning,
     read_generation_request,
@@ -191,6 +192,36 @@ def test_live_rejects_duration_mismatch(bundle, stub_server):
     state["body"] = encode_wav(click_track(126.0, 2.0, SR), "pcm16")
     with pytest.raises(DurationMismatchError):
         request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+
+
+def _short_request(bundle):
+    """A 10 ms request, whose response cap is small enough to exceed."""
+    return GenerationRequest("test prompt", 120.0, 0.01, bundle.chroma)
+
+
+def test_response_cap_fits_the_largest_accepted_wav():
+    # 1.05 x 10 s at 192 kHz, 8 channels of 32 bits, plus 1 MiB of headers.
+    assert max_response_bytes(10.0) == 2_016_000 * 32 + 2**20
+
+
+def test_live_rejects_declared_oversized_response_before_reading(bundle, stub_server):
+    url, state = stub_server
+    state["body"] = encode_wav(click_track(126.0, 0.01, SR), "pcm16")
+    # Declares more than the cap and than it sends: reading would fail.
+    state["content_length"] = str(max_response_bytes(0.01) + 1)
+    with pytest.raises(NonAudioResponseError, match="exceeds"):
+        request_generation(_short_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+
+
+def test_live_caps_undeclared_response_size(bundle, stub_server):
+    url, state = stub_server
+    limit = max_response_bytes(0.01)
+    wav = encode_wav(click_track(126.0, limit / (2 * SR), SR), "pcm16")
+    assert len(wav) > limit
+    state["body"] = wav
+    state["content_length"] = False
+    with pytest.raises(NonAudioResponseError, match="exceeds"):
+        request_generation(_short_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
 
 
 def test_live_unreachable_endpoint_is_transport_error(bundle):
