@@ -11,6 +11,7 @@ response as audio.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -269,12 +270,34 @@ DURATION_TOLERANCE = 0.05
 _MAX_RESPONSE_RATE_HZ = 192_000
 _MAX_RESPONSE_FRAME_BYTES = 8 * 4
 _RESPONSE_HEADER_BYTES = 1 << 20
+# An undeclared response body is read in pieces of this size, so no
+# read reserves memory for the whole cap.
+_RESPONSE_CHUNK_BYTES = 1 << 20
 
 
 def max_response_bytes(duration_s: float) -> int:
     """The response size cap for a request of duration_s seconds."""
     frames = int(np.ceil(duration_s * (1.0 + DURATION_TOLERANCE) * _MAX_RESPONSE_RATE_HZ))
     return frames * _MAX_RESPONSE_FRAME_BYTES + _RESPONSE_HEADER_BYTES
+
+
+def _read_capped(response, limit: int) -> bytes | None:
+    """The response body, or None when it is longer than limit bytes.
+
+    A declared length (http.client's parse of Content-Length: None when
+    the header is absent, malformed or chunked) is checked before
+    reading; an undeclared body is read in fixed pieces until it ends or
+    passes the limit.
+    """
+    if response.length is not None:
+        return response.read() if response.length <= limit else None
+    payload = bytearray()
+    while len(payload) <= limit:
+        chunk = response.read(_RESPONSE_CHUNK_BYTES)
+        if not chunk:
+            return bytes(payload)
+        payload += chunk
+    return None
 
 
 def request_generation(
@@ -291,9 +314,9 @@ def request_generation(
     request; transport failures, undecodable responses, and duration
     mismatches are reported as distinct errors.  A response larger than
     max_response_bytes(req.duration_s) is refused as non-audio: before
-    reading when its Content-Length declares it, otherwise after reading
-    one byte past the cap.  dry_run writes the exact request document to
-    out_path and returns None without touching the network.
+    reading when its Content-Length declares it, otherwise as soon as
+    the bytes read pass the cap.  dry_run writes the exact request
+    document to out_path and returns None without touching the network.
     """
     if mode == "dry_run":
         if out_path is None:
@@ -311,16 +334,14 @@ def request_generation(
     limit = max_response_bytes(req.duration_s)
     try:
         with urllib.request.urlopen(http_req, timeout=timeout_s) as response:
-            declared = response.headers.get("Content-Length", "")
-            size = int(declared) if declared.isdigit() else None
-            if size is None or size <= limit:
-                payload = response.read(limit + 1)
-                size = len(payload)
+            payload = _read_capped(response, limit)
     except urllib.error.HTTPError as exc:
         raise TransportError(f"endpoint returned HTTP {exc.code}: {exc.reason}") from exc
     except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
         raise TransportError(f"could not reach {endpoint}: {exc}") from exc
-    if size > limit:
+    except http.client.IncompleteRead as exc:
+        raise TransportError(f"{endpoint} closed the response early: {exc}") from exc
+    if payload is None:
         raise NonAudioResponseError(
             f"response exceeds {limit} bytes, more than any WAV "
             f"a {req.duration_s:.2f} s request allows"

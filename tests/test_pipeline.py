@@ -1,5 +1,6 @@
 import json
 import struct
+import urllib.request
 
 import numpy as np
 import pytest
@@ -222,6 +223,50 @@ def test_live_caps_undeclared_response_size(bundle, stub_server):
     state["content_length"] = False
     with pytest.raises(NonAudioResponseError, match="exceeds"):
         request_generation(_short_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+
+
+def test_live_reads_undeclared_response_in_bounded_pieces(bundle, stub_server, monkeypatch):
+    url, state = stub_server
+    wav = encode_wav(click_track(126.0, 8.0, SR), "pcm16")
+    state["body"] = wav
+    state["content_length"] = False
+    read_sizes = []
+    real_urlopen = urllib.request.urlopen
+
+    def recording_urlopen(*args, **kwargs):
+        response = real_urlopen(*args, **kwargs)
+        real_read = response.read
+
+        def read(amt=None):
+            read_sizes.append(amt)
+            return real_read(amt)
+
+        response.read = read
+        return response
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    got = request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+    assert got.n_samples == click_track(126.0, 8.0, SR).n_samples
+    # No read asks for the whole cap, which a read may reserve up front.
+    assert read_sizes and all(amt is not None and amt <= 2**20 for amt in read_sizes)
+
+
+def test_live_reads_to_close_past_malformed_content_length(bundle, stub_server):
+    url, state = stub_server
+    state["body"] = encode_wav(click_track(126.0, 8.0, SR), "pcm16")
+    # isdigit() accepts a superscript two, int() does not.
+    state["content_length"] = "\u00b2"
+    got = request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
+    assert got.n_samples == click_track(126.0, 8.0, SR).n_samples
+
+
+def test_live_response_shorter_than_declared_is_transport_error(bundle, stub_server):
+    url, state = stub_server
+    wav = encode_wav(click_track(126.0, 8.0, SR), "pcm16")
+    state["body"] = wav
+    state["content_length"] = str(len(wav) + 100)
+    with pytest.raises(TransportError, match="closed the response early"):
+        request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=10.0)
 
 
 def test_live_unreachable_endpoint_is_transport_error(bundle):
