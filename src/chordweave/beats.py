@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, _stft_blocks
-from .formats import FormatError, dump_document, load_document
+from .formats import decode, dump_document, load_document
 
 DEFAULT_MIN_BPM = 60.0
 DEFAULT_MAX_BPM = 200.0
@@ -215,12 +215,14 @@ class BeatGrid:
     def __post_init__(self):
         object.__setattr__(self, "beats_s", tuple(float(b) for b in self.beats_s))
         object.__setattr__(self, "downbeats_s", tuple(float(b) for b in self.downbeats_s))
-        if self.bpm <= 0:
-            raise ValueError("bpm must be > 0")
+        if not 0 < self.bpm < np.inf:
+            raise ValueError("bpm must be finite and > 0")
         if self.beats_per_bar < 1:
             raise ValueError("beats_per_bar must be >= 1")
         if not self.beats_s:
             raise ValueError("a beat grid needs at least one beat")
+        if not np.isfinite(self.beats_s).all():
+            raise ValueError("beat times must be finite")
         period = 60.0 / self.bpm
         for a, b in zip(self.beats_s, self.beats_s[1:]):
             if b <= a:
@@ -254,8 +256,8 @@ def track_beats(
     beats (first maximum wins).  The downbeat offset likewise maximises
     mean onset strength.  The clip must cover at least one bar.
     """
-    if bpm <= 0:
-        raise ValueError("bpm must be > 0")
+    if not 0 < bpm < np.inf:
+        raise ValueError("bpm must be finite and > 0")
     if beats_per_bar < 1:
         raise ValueError("beats_per_bar must be >= 1")
     period = 60.0 / bpm
@@ -301,12 +303,7 @@ def track_beats(
         mean = float(np.mean([local_energy(t) for t in subset]))
         if mean > best_mean:
             best_offset, best_mean = offset, mean
-    return BeatGrid(
-        tuple(float(b) for b in beats),
-        tuple(float(b) for b in beats[best_offset::beats_per_bar]),
-        float(bpm),
-        beats_per_bar,
-    )
+    return BeatGrid(beats, beats[best_offset::beats_per_bar], float(bpm), beats_per_bar)
 
 
 BEAT_GRID_FORMAT = "beat-grid/v1"
@@ -323,20 +320,11 @@ def beat_grid_to_dict(grid: BeatGrid) -> dict:
 
 
 def beat_grid_from_dict(doc: dict) -> BeatGrid:
-    if doc.get("format") != BEAT_GRID_FORMAT:
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {BEAT_GRID_FORMAT!r}")
-    try:
-        grid = BeatGrid(
-            tuple(float(b) for b in doc["beats_s"]),
-            tuple(float(b) for b in doc["downbeats_s"]),
-            float(doc["bpm"]),
-            int(doc["beats_per_bar"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed beat grid document: {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"invalid beat grid: {exc}") from exc
-    return grid
+    def build(doc: dict) -> BeatGrid:
+        bpm, beats_per_bar = float(doc["bpm"]), int(doc["beats_per_bar"])
+        return BeatGrid(doc["beats_s"], doc["downbeats_s"], bpm, beats_per_bar)
+
+    return decode(doc, BEAT_GRID_FORMAT, build)
 
 
 def write_beat_grid(grid: BeatGrid, path) -> None:
@@ -344,4 +332,4 @@ def write_beat_grid(grid: BeatGrid, path) -> None:
 
 
 def read_beat_grid(path) -> BeatGrid:
-    return beat_grid_from_dict(load_document(path, BEAT_GRID_FORMAT))
+    return beat_grid_from_dict(load_document(path))

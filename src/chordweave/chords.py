@@ -16,11 +16,12 @@ BPM fully determines absolute event timestamps.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .formats import FormatError, dump_document, load_document
+from .formats import decode, dump_document, load_document
 
 PITCH_CLASS_COUNT = 12
 
@@ -152,10 +153,10 @@ class ChordEvent:
     duration_s: float
 
     def __post_init__(self):
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 <= self.start_s < math.inf:
+            raise ValueError("start_s must be finite and >= 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be finite and > 0")
 
     @property
     def end_s(self) -> float:
@@ -175,8 +176,8 @@ class ChordSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if self.bpm <= 0:
-            raise ValueError("bpm must be > 0")
+        if not 0 < self.bpm < math.inf:
+            raise ValueError("bpm must be finite and > 0")
         for prev, cur in zip(self.events, self.events[1:]):
             if abs(cur.start_s - prev.end_s) > _CONTIGUITY_TOL:
                 raise ValueError(
@@ -253,8 +254,8 @@ def parse_progression(
     Bar duration is beats_per_bar * 60 / bpm; the n comma-separated chords
     within a bar split it into n equal slots.
     """
-    if bpm <= 0:
-        raise ValueError("bpm must be > 0")
+    if not 0 < bpm < math.inf:
+        raise ValueError("bpm must be finite and > 0")
     if not text.strip():
         raise ChordParseError("empty progression", "", 0)
     bar_duration = time_signature.beats_per_bar * 60.0 / bpm
@@ -307,22 +308,15 @@ def chord_sequence_to_dict(seq: ChordSequence) -> dict:
 
 
 def chord_sequence_from_dict(doc: dict) -> ChordSequence:
-    if doc.get("format") != CHORD_SEQ_FORMAT:
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {CHORD_SEQ_FORMAT!r}")
-    try:
-        bpm = float(doc["bpm"])
-        beats_per_bar, beat_unit = doc["time_signature"]
-        raw_events = doc["events"]
-        events = tuple(
+    def build(doc: dict) -> ChordSequence:
+        beats_per_bar, beat_unit = map(int, doc["time_signature"])
+        events = [
             ChordEvent(parse_chord_symbol(e["chord"]), float(e["start_s"]), float(e["duration_s"]))
-            for e in raw_events
-        )
-    except (KeyError, TypeError, ChordParseError) as exc:
-        raise FormatError(f"malformed chord sequence document: {exc}") from exc
-    try:
-        return ChordSequence(events, bpm, TimeSignature(int(beats_per_bar), int(beat_unit)))
-    except ValueError as exc:
-        raise FormatError(f"invalid chord sequence: {exc}") from exc
+            for e in doc["events"]
+        ]
+        return ChordSequence(events, float(doc["bpm"]), TimeSignature(beats_per_bar, beat_unit))
+
+    return decode(doc, CHORD_SEQ_FORMAT, build)
 
 
 def write_chord_sequence(seq: ChordSequence, path) -> None:
@@ -330,4 +324,4 @@ def write_chord_sequence(seq: ChordSequence, path) -> None:
 
 
 def read_chord_sequence(path) -> ChordSequence:
-    return chord_sequence_from_dict(load_document(path, CHORD_SEQ_FORMAT))
+    return chord_sequence_from_dict(load_document(path))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chords import Chord, ChordSequence
-from .formats import FormatError, dump_document, load_document
+from .formats import decode, dump_document, load_document
 
 DEFAULT_FRAME_RATE_HZ = 50.0
 
@@ -41,8 +41,8 @@ class ChromaMatrix:
             raise ValueError(f"chroma matrix must be (frames, 12), got {values.shape}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("chroma values must be finite and non-negative")
-        if self.frame_rate_hz <= 0:
-            raise ValueError("frame_rate_hz must be > 0")
+        if not 0 < self.frame_rate_hz < np.inf:
+            raise ValueError("frame_rate_hz must be finite and > 0")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -75,8 +75,8 @@ def render_matrix(
     The frame count is round(duration * rate); a frame whose centre falls
     outside every event (including past the end) is all zeros.
     """
-    if frame_rate_hz <= 0:
-        raise ValueError("frame_rate_hz must be > 0")
+    if not 0 < frame_rate_hz < np.inf:
+        raise ValueError("frame_rate_hz must be finite and > 0")
     n_frames = int(round(seq.duration_s * frame_rate_hz))
     centres = (np.arange(n_frames) + 0.5) / frame_rate_hz
     starts = np.array([e.start_s for e in seq.events])
@@ -104,25 +104,13 @@ def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
 
 
 def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
-    if doc.get("format") != CHROMA_MATRIX_FORMAT:
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {CHROMA_MATRIX_FORMAT!r}")
-    try:
-        rate = float(doc["frame_rate_hz"])
-        count = int(doc["frames"])
-        rows = doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed chroma matrix document: {exc}") from exc
-    if not isinstance(rows, list):
-        raise FormatError("data must be a list of rows")
-    if len(rows) != count:
-        raise FormatError(f"frame count {count} disagrees with {len(rows)} data rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 12:
-            raise FormatError(f"frame {i} does not have 12 bins")
-    try:
-        return ChromaMatrix(np.array(rows, dtype=np.float64).reshape(len(rows), 12), rate)
-    except ValueError as exc:
-        raise FormatError(f"invalid chroma matrix: {exc}") from exc
+    def build(doc: dict) -> ChromaMatrix:
+        values = np.array(doc["data"], dtype=np.float64)
+        if values.shape != (int(doc["frames"]), 12):
+            raise ValueError(f"data of shape {values.shape} is not {doc['frames']} frames by 12")
+        return ChromaMatrix(values, float(doc["frame_rate_hz"]))
+
+    return decode(doc, CHROMA_MATRIX_FORMAT, build)
 
 
 def write_matrix(matrix: ChromaMatrix, path) -> None:
@@ -130,7 +118,7 @@ def write_matrix(matrix: ChromaMatrix, path) -> None:
 
 
 def read_matrix(path) -> ChromaMatrix:
-    return chroma_matrix_from_dict(load_document(path, CHROMA_MATRIX_FORMAT))
+    return chroma_matrix_from_dict(load_document(path))
 
 
 def write_matrix_csv(matrix: ChromaMatrix, path) -> None:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from . import analysis, beats, chords, chroma, pipeline, timewarp
 from .audio import read_wav, resample_linear, to_mono, write_wav
-from .formats import FormatError, dumps_document
+from .formats import FormatError, dump_document, dumps_document, load_document
 from .pipeline import GenerationBackendError, PipelineStepError
 
 ENDPOINT_ENV_VAR = "CHORDWEAVE_ENDPOINT"
@@ -44,12 +43,10 @@ def _info(args, message: str) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = dumps_document(doc)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_document(doc))
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump_document(doc, out)
 
 
 def _emit_matrix(matrix: chroma.ChromaMatrix, args) -> None:
@@ -325,10 +322,7 @@ def _apply_config_file(argv, parsers) -> None:
             path = arg.split("=", 1)[1]
     if path is None:
         return
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError("config file must hold a JSON object of flag values")
+    doc = load_document(path)
     values = {key.replace("-", "_").lstrip("_"): value for key, value in doc.items()}
     dests = [{action.dest for action in p._actions if action.dest != "help"} for p in parsers]
     unknown = sorted(set(values).difference(*dests))

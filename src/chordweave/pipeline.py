@@ -30,7 +30,7 @@ from .audio import (
 from .beats import BeatGrid, estimate_bpm, onset_envelope, track_beats
 from .chords import ChordSequence, TimeSignature
 from .chroma import ChromaMatrix, chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
-from .formats import FormatError, dump_document, load_document
+from .formats import decode, dump_document, load_document
 from .timewarp import WsolaConfig, align_to_anchors, build_anchor_map
 
 STEP_NAMES = {
@@ -108,10 +108,10 @@ class RemixConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
-        if self.conditioning_frame_rate_hz <= 0:
-            raise ValueError("conditioning_frame_rate_hz must be > 0")
-        if self.ceiling_dbfs > 0:
-            raise ValueError("ceiling_dbfs must be <= 0")
+        if not 0 < self.conditioning_frame_rate_hz < np.inf:
+            raise ValueError("conditioning_frame_rate_hz must be finite and > 0")
+        if not -np.inf < self.ceiling_dbfs <= 0:
+            raise ValueError("ceiling_dbfs must be finite and <= 0")
         if not 0 < self.bpm_seed_tolerance < 1:
             raise ValueError("bpm_seed_tolerance must lie in (0, 1)")
 
@@ -127,8 +127,8 @@ class ConditioningBundle:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 < self.duration_s < np.inf:
+            raise ValueError("duration_s must be finite and > 0")
         frame = 1.0 / self.chroma.frame_rate_hz
         if self.chroma.duration_s < self.chords.duration_s - frame:
             raise ValueError("chroma must cover the chord sequence to within one frame")
@@ -144,10 +144,10 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.bpm <= 0:
-            raise ValueError("bpm must be > 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 < self.bpm < np.inf:
+            raise ValueError("bpm must be finite and > 0")
+        if not 0 < self.duration_s < np.inf:
+            raise ValueError("duration_s must be finite and > 0")
 
 
 GENREQ_FORMAT = "genreq/v1"
@@ -164,19 +164,15 @@ def generation_request_to_dict(req: GenerationRequest) -> dict:
 
 
 def generation_request_from_dict(doc: dict) -> GenerationRequest:
-    if doc.get("format") != GENREQ_FORMAT:
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {GENREQ_FORMAT!r}")
-    try:
+    def build(doc: dict) -> GenerationRequest:
         return GenerationRequest(
             str(doc["prompt"]),
             float(doc["bpm"]),
             float(doc["duration_s"]),
             chroma_matrix_from_dict(doc["chroma"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed generation request document: {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"invalid generation request: {exc}") from exc
+
+    return decode(doc, GENREQ_FORMAT, build)
 
 
 def write_generation_request(req: GenerationRequest, path) -> None:
@@ -184,7 +180,7 @@ def write_generation_request(req: GenerationRequest, path) -> None:
 
 
 def read_generation_request(path) -> GenerationRequest:
-    return generation_request_from_dict(load_document(path, GENREQ_FORMAT))
+    return generation_request_from_dict(load_document(path))
 
 
 def ingest_stems(
@@ -373,8 +369,8 @@ def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuff
 
     NaN or infinite samples have no peak to scale by and raise ValueError.
     """
-    if ceiling_dbfs > 0:
-        raise ValueError("ceiling_dbfs must be <= 0")
+    if not -np.inf < ceiling_dbfs <= 0:
+        raise ValueError("ceiling_dbfs must be finite and <= 0")
     ceiling = 10.0 ** (ceiling_dbfs / 20.0)
     samples = buffer.samples
     peak = max(float(samples.max()), -float(samples.min())) if buffer.n_samples else 0.0

@@ -209,7 +209,7 @@ def wsola_stretch(
 
 @dataclass(frozen=True)
 class AnchorMap:
-    """(source_s, target_s) pairs, strictly increasing, starting at (0, 0)."""
+    """Finite (source_s, target_s) pairs, strictly increasing, starting at (0, 0)."""
 
     pairs: tuple[tuple[float, float], ...]
 
@@ -221,8 +221,8 @@ class AnchorMap:
         if pairs[0] != (0.0, 0.0):
             raise ValueError("the first anchor pair must be (0, 0)")
         for (s0, t0), (s1, t1) in zip(pairs, pairs[1:]):
-            if s1 <= s0 or t1 <= t0:
-                raise ValueError("anchor pairs must strictly increase in both coordinates")
+            if not (s0 < s1 < np.inf and t0 < t1 < np.inf):
+                raise ValueError("anchor pairs must be finite and strictly increase in both")
 
     @property
     def source_duration_s(self) -> float:

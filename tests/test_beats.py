@@ -222,6 +222,13 @@ def test_grid_validation():
         BeatGrid((0.0, 0.5, 0.4), (0.0,), bpm=120.0)
     with pytest.raises(ValueError):
         BeatGrid((0.0, 0.5, 1.0), (0.25,), bpm=120.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            BeatGrid((0.0, 0.5, 1.0), (0.0,), bpm=bad)
+        with pytest.raises(ValueError):
+            BeatGrid((bad,), (), bpm=120.0)
+        with pytest.raises(ValueError):
+            BeatGrid((0.0, 0.5, bad), (0.0,), bpm=120.0)
 
 
 def test_grid_downbeats_subset_by_offset():

@@ -102,6 +102,18 @@ def test_chord_at_boundaries():
     assert seq.chord_at(-0.1) is None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_events_and_tempo_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        ChordEvent(Chord(0), bad, 2.0)
+    with pytest.raises(ValueError):
+        ChordEvent(Chord(0), 0.0, bad)
+    with pytest.raises(ValueError):
+        ChordSequence((ChordEvent(Chord(0), 0.0, 2.0),), bpm=bad)
+    with pytest.raises(ValueError):
+        parse_progression("C:maj", bpm=bad)
+
+
 def test_events_must_be_contiguous():
     events = (
         ChordEvent(Chord(0), 0.0, 2.0),

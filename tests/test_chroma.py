@@ -68,6 +68,12 @@ def test_matrix_validation():
         ChromaMatrix(np.full((4, 12), -0.5), 50.0)
     with pytest.raises(ValueError):
         ChromaMatrix(np.ones((4, 12)), 0.0)
+    seq = parse_progression("C:maj", bpm=120)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ChromaMatrix(np.ones((4, 12)), bad)
+        with pytest.raises(ValueError):
+            render_matrix(seq, bad)
 
 
 def test_matrix_values_read_only():

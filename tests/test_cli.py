@@ -213,6 +213,51 @@ def test_mix_full_path(input_wav, tmp_path):
     assert np.abs(np.asarray(mixed.samples)).max() <= ceiling + 1e-4
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_mix_non_finite_ceiling_is_exit_1(input_wav, tmp_path, bad, capsys):
+    out = tmp_path / "mix.wav"
+    argv = ["mix", str(input_wav), "--input", str(input_wav), f"--ceiling-dbfs={bad}"]
+    assert run([*argv, "--out", str(out)]) == 1
+    assert "ceiling_dbfs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_parse_non_finite_bpm_is_exit_1(tmp_path, bad, capsys):
+    out = tmp_path / "chords.json"
+    assert run(["parse", "C:maj", "--bpm", bad, "--out", str(out)]) == 1
+    assert "chordweave: error: bpm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_hostile_chord_field_is_exit_1_without_traceback(tmp_path):
+    chords = tmp_path / "chords.json"
+    doc = {
+        "format": "chord-seq/v1",
+        "bpm": 120.0,
+        "time_signature": [4, 4],
+        "events": [{"chord": 5, "start_s": 0.0, "duration_s": 2.0}],
+    }
+    chords.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweave.cli", "encode", "--chords", str(chords)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert "chordweave: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"frame-rate": NaN}', "{nope"])
+def test_config_file_must_be_a_json_object(tmp_path, text, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["parse", "C:maj", "--bpm", "120", "--config", str(cfg)]) == 1
+    assert "chordweave: error:" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frame-rate": 25.0}))

@@ -1,8 +1,20 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chordweave.formats import FormatError, dump_document, dumps_document, load_document
+from chordweave.beats import BeatGrid, beat_grid_from_dict, beat_grid_to_dict
+from chordweave.chords import chord_sequence_from_dict, chord_sequence_to_dict, parse_progression
+from chordweave.chroma import chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
+from chordweave.formats import FormatError, decode, dump_document, dumps_document, load_document
+from chordweave.pipeline import (
+    GenerationRequest,
+    generation_request_from_dict,
+    generation_request_to_dict,
+)
 
 
 def test_round_trip(tmp_path):
@@ -56,3 +68,163 @@ def test_invalid_json(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_document(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_constants(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format": "beat-grid/v1", "bpm": %s}' % text)
+    with pytest.raises(FormatError):
+        load_document(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dump_refuses_non_finite(tmp_path, bad):
+    with pytest.raises(ValueError):
+        dumps_document({"format": "x/v1", "bpm": bad})
+    with pytest.raises(ValueError):
+        dump_document({"format": "x/v1", "bpm": bad}, tmp_path / "doc.json")
+
+
+def test_decode_passes_nested_format_error_through():
+    def build(doc):
+        return decode(doc["inner"], "inner/v1", dict)
+
+    with pytest.raises(FormatError, match="'other/v1', expected 'inner/v1'"):
+        decode({"format": "outer/v1", "inner": {"format": "other/v1"}}, "outer/v1", build)
+
+
+# One valid document of each type, and the reader and writer for it.
+
+_SEQ = parse_progression("C:maj G:7,A:min7 N", bpm=96)
+_MATRIX = render_matrix(_SEQ, 2.0)
+_GRID = BeatGrid((0.0, 0.5, 1.0, 1.5, 2.0), (0.0, 2.0), 120.0)
+_READERS = {
+    "chord-seq": (chord_sequence_from_dict, chord_sequence_to_dict, _SEQ),
+    "chroma-matrix": (chroma_matrix_from_dict, chroma_matrix_to_dict, _MATRIX),
+    "beat-grid": (beat_grid_from_dict, beat_grid_to_dict, _GRID),
+    "genreq": (
+        generation_request_from_dict,
+        generation_request_to_dict,
+        GenerationRequest("p", 96.0, 10.0, _MATRIX),
+    ),
+}
+_DELETE = object()
+
+
+def _valid(kind: str) -> dict:
+    _, to_dict, obj = _READERS[kind]
+    return to_dict(obj)
+
+
+def _replaced(doc, path, value):
+    """A deep copy of doc with the field at path replaced, or deleted for _DELETE."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every field of doc, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_THREE_DEEP = [[[0.0] * 12]] * _MATRIX.n_frames
+
+
+_HOSTILE = [
+    ("chord-seq", ("events", 0, "chord"), 5),
+    ("chord-seq", ("events", 0, "start_s"), math.inf),
+    ("chord-seq", ("events", 1), _DELETE),
+    ("chord-seq", ("time_signature",), [4]),
+    ("chord-seq", ("time_signature",), 4),
+    ("chord-seq", ("bpm",), "x"),
+    ("chord-seq", ("bpm",), math.nan),
+    ("chord-seq", ("events",), _DELETE),
+    ("chroma-matrix", ("frame_rate_hz",), "x"),
+    ("chroma-matrix", ("frame_rate_hz",), math.inf),
+    ("chroma-matrix", ("frames",), "x"),
+    ("chroma-matrix", ("frames",), 10**400),
+    ("chroma-matrix", ("data", 1), [0.0] * 11),
+    ("chroma-matrix", ("data",), _THREE_DEEP),
+    ("chroma-matrix", ("data",), "rows"),
+    ("chroma-matrix", ("data", 0, 0), 10**400),
+    ("beat-grid", ("bpm",), "x"),
+    ("beat-grid", ("bpm",), math.nan),
+    ("beat-grid", ("beats_s",), 5),
+    ("beat-grid", ("beats_s", 4), math.inf),
+    ("beat-grid", ("beats_per_bar",), None),
+    ("beat-grid", ("downbeats_s",), _DELETE),
+    ("genreq", ("chroma",), 5),
+    ("genreq", ("chroma", "format"), "beat-grid/v1"),
+    ("genreq", ("chroma", "data", 0), [0.0] * 13),
+    ("genreq", ("bpm",), [120.0]),
+    ("genreq", ("duration_s",), -math.inf),
+    ("genreq", ("prompt",), _DELETE),
+    ("genreq", ("format",), "chroma-matrix/v1"),
+]
+
+
+def _case_id(kind, path, value):
+    shown = "deleted" if value is _DELETE else repr(value)[:16]
+    return f"{kind}:{'.'.join(map(str, path))}={shown}"
+
+
+@pytest.mark.parametrize("kind, path, value", _HOSTILE, ids=[_case_id(*c) for c in _HOSTILE])
+def test_hostile_field_raises_format_error(kind, path, value):
+    from_dict = _READERS[kind][0]
+    with pytest.raises(FormatError):
+        from_dict(_replaced(_valid(kind), path, value))
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_reader_rejects_non_object(kind):
+    with pytest.raises(FormatError):
+        _READERS[kind][0]([_valid(kind)])
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_document(draw):
+    kind = draw(st.sampled_from(sorted(_READERS)))
+    path = draw(st.sampled_from(sorted(_field_paths(_valid(kind)), key=repr)))
+    return kind, path, draw(_JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_document())
+@example(("chord-seq", ("events", 0, "chord"), 5))
+@example(("genreq", ("chroma",), 5))
+@example(("beat-grid", ("bpm",), 10**400))
+@example(("chroma-matrix", ("data", 0, 0), 10**400))
+def test_mutated_documents_decode_valid_or_raise_format_error(case):
+    kind, path, value = case
+    from_dict, to_dict, obj = _READERS[kind]
+    try:
+        decoded = from_dict(_replaced(_valid(kind), path, value))
+    except FormatError:
+        return
+    assert type(decoded) is type(obj)
+    # What decodes writes back: it holds no value JSON cannot carry.
+    dumps_document(to_dict(decoded))

@@ -94,6 +94,9 @@ def test_conditioning_bundle_invariant_enforced(bundle):
             prompt="x",
             duration_s=bundle.duration_s,
         )
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ConditioningBundle(bundle.beat_grid, bundle.chords, bundle.chroma, "x", bad)
 
 
 def test_conditioning_is_deterministic(instrumental):
@@ -125,6 +128,11 @@ def test_request_validation(bundle):
         GenerationRequest("", 120.0, 8.0, bundle.chroma)
     with pytest.raises(ValueError):
         GenerationRequest("p", -1.0, 8.0, bundle.chroma)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            GenerationRequest("p", bad, 8.0, bundle.chroma)
+        with pytest.raises(ValueError):
+            GenerationRequest("p", 120.0, bad, bundle.chroma)
 
 
 def test_request_serialization_round_trip(bundle, tmp_path):
@@ -296,6 +304,19 @@ def test_peak_normalize_scales_down_only():
     assert peak_normalize(quiet, -1.0) is quiet
     zero = AudioBuffer(np.zeros(8), SR)
     assert peak_normalize(zero, -1.0) is zero
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_peak_normalize_rejects_non_finite_ceiling(bad):
+    with pytest.raises(ValueError, match="ceiling_dbfs"):
+        peak_normalize(AudioBuffer(np.array([0.0, 1.4, -0.7]), SR), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["conditioning_frame_rate_hz", "ceiling_dbfs"])
+def test_remix_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        RemixConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -159,6 +159,11 @@ def test_anchor_map_validation():
         AnchorMap(((0.5, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
         AnchorMap(((0.0, 0.0), (2.0, 1.0), (1.0, 2.0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            AnchorMap(((0.0, 0.0), (bad, 1.0)))
+        with pytest.raises(ValueError):
+            AnchorMap(((0.0, 0.0), (1.0, 2.0), (2.0, bad)))
     amap = AnchorMap(((0.0, 0.0), (1.0, 2.0)))
     assert amap.source_duration_s == 1.0
     assert amap.target_duration_s == 2.0
