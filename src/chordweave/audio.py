@@ -27,6 +27,24 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate: int) -> AudioBuffer:
+        """A buffer that keeps `samples` itself, made read-only, rather than a copy.
+
+        Only for an array this package has just allocated and hands over:
+        no one else may hold it, or a view of it, to write through.  The
+        public constructor copies.
+        """
+        buffer = object.__new__(cls)
+        object.__setattr__(buffer, "samples", samples)
+        object.__setattr__(buffer, "sample_rate", sample_rate)
+        buffer._settle(copy=False)
+        return buffer
+
+    def _settle(self, copy: bool):
+        """Validate, and keep a C-contiguous float64 array set read-only."""
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim == 1:
             samples = samples.reshape(1, -1)
@@ -36,7 +54,7 @@ class AudioBuffer:
             raise ValueError("need at least one channel")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
-        samples = samples.copy()
+        samples = samples.copy() if copy else np.ascontiguousarray(samples)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -64,7 +82,7 @@ def to_mono(buffer: AudioBuffer) -> AudioBuffer:
     """Average the channels; a mono buffer passes through unchanged."""
     if buffer.n_channels == 1:
         return buffer
-    return AudioBuffer(buffer.samples.mean(axis=0), buffer.sample_rate)
+    return AudioBuffer._adopt(buffer.samples.mean(axis=0), buffer.sample_rate)
 
 
 def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -80,11 +98,13 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
         return buffer
     n_out = int(round(buffer.n_samples * target_rate / buffer.sample_rate))
     if buffer.n_samples == 0 or n_out == 0:
-        return AudioBuffer(np.zeros((buffer.n_channels, 0)), target_rate)
+        return AudioBuffer._adopt(np.zeros((buffer.n_channels, 0)), target_rate)
     src_positions = np.arange(buffer.n_samples, dtype=np.float64)
     out_positions = np.arange(n_out, dtype=np.float64) * (buffer.sample_rate / target_rate)
-    out = np.stack([np.interp(out_positions, src_positions, ch) for ch in buffer.samples])
-    return AudioBuffer(out, target_rate)
+    out = np.empty((buffer.n_channels, n_out))
+    for ch, row in zip(buffer.samples, out):
+        row[:] = np.interp(out_positions, src_positions, ch)
+    return AudioBuffer._adopt(out, target_rate)
 
 
 _PCM16_SCALE = 32768.0
@@ -125,15 +145,14 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise WavFormatError(f"unsupported codec: format tag {codec}, {bits} bits per sample")
     if len(payload) % (n_channels * bits // 8):
         raise WavFormatError("data chunk does not hold a whole number of sample frames")
+    raw = np.frombuffer(payload, dtype="<i2" if codec == _WAVE_FORMAT_PCM else "<f4")
+    if codec == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(raw).all():
+        raise WavFormatError("float32 data holds NaN or infinite samples")
+    # One conversion de-interleaves the frames into (channels, n) rows.
+    samples = np.ascontiguousarray(raw.reshape(-1, n_channels).T, dtype=np.float64)
     if codec == _WAVE_FORMAT_PCM:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _PCM16_SCALE
-    else:
-        raw = np.frombuffer(payload, dtype="<f4")
-        if not np.isfinite(raw).all():
-            raise WavFormatError("float32 data holds NaN or infinite samples")
-        samples = raw.astype(np.float64)
-    frames = samples.reshape(-1, n_channels).T
-    return AudioBuffer(frames, sample_rate)
+        samples /= _PCM16_SCALE
+    return AudioBuffer._adopt(samples, sample_rate)
 
 
 def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytes:

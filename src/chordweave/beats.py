@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, _stft_blocks
-from .formats import decode, dump_document, load_document
+from .formats import (
+    as_integer,
+    as_number,
+    as_numbers,
+    decode,
+    dump_document,
+    load_document,
+)
 
 DEFAULT_MIN_BPM = 60.0
 DEFAULT_MAX_BPM = 200.0
@@ -321,8 +328,11 @@ def beat_grid_to_dict(grid: BeatGrid) -> dict:
 
 def beat_grid_from_dict(doc: dict) -> BeatGrid:
     def build(doc: dict) -> BeatGrid:
-        bpm, beats_per_bar = float(doc["bpm"]), int(doc["beats_per_bar"])
-        return BeatGrid(doc["beats_s"], doc["downbeats_s"], bpm, beats_per_bar)
+        beats_s, downbeats_s = as_numbers(doc["beats_s"]), as_numbers(doc["downbeats_s"])
+        if beats_s.ndim != 1 or downbeats_s.ndim != 1:
+            raise ValueError("beats_s and downbeats_s must be flat lists of times")
+        bpm, beats_per_bar = as_number(doc["bpm"]), as_integer(doc["beats_per_bar"])
+        return BeatGrid(beats_s, downbeats_s, bpm, beats_per_bar)
 
     return decode(doc, BEAT_GRID_FORMAT, build)
 

@@ -21,7 +21,14 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .formats import decode, dump_document, load_document
+from .formats import (
+    as_integer,
+    as_number,
+    as_text,
+    decode,
+    dump_document,
+    load_document,
+)
 
 PITCH_CLASS_COUNT = 12
 
@@ -309,12 +316,16 @@ def chord_sequence_to_dict(seq: ChordSequence) -> dict:
 
 def chord_sequence_from_dict(doc: dict) -> ChordSequence:
     def build(doc: dict) -> ChordSequence:
-        beats_per_bar, beat_unit = map(int, doc["time_signature"])
+        beats_per_bar, beat_unit = map(as_integer, doc["time_signature"])
         events = [
-            ChordEvent(parse_chord_symbol(e["chord"]), float(e["start_s"]), float(e["duration_s"]))
+            ChordEvent(
+                parse_chord_symbol(as_text(e["chord"])),
+                as_number(e["start_s"]),
+                as_number(e["duration_s"]),
+            )
             for e in doc["events"]
         ]
-        return ChordSequence(events, float(doc["bpm"]), TimeSignature(beats_per_bar, beat_unit))
+        return ChordSequence(events, as_number(doc["bpm"]), TimeSignature(beats_per_bar, beat_unit))
 
     return decode(doc, CHORD_SEQ_FORMAT, build)
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chords import Chord, ChordSequence
-from .formats import decode, dump_document, load_document
+from .formats import (
+    as_integer,
+    as_number,
+    as_numbers,
+    decode,
+    dump_document,
+    load_document,
+)
 
 DEFAULT_FRAME_RATE_HZ = 50.0
 
@@ -105,10 +112,10 @@ def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
 
 def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
     def build(doc: dict) -> ChromaMatrix:
-        values = np.array(doc["data"], dtype=np.float64)
-        if values.shape != (int(doc["frames"]), 12):
+        values = as_numbers(doc["data"])
+        if values.shape != (as_integer(doc["frames"]), 12):
             raise ValueError(f"data of shape {values.shape} is not {doc['frames']} frames by 12")
-        return ChromaMatrix(values, float(doc["frame_rate_hz"]))
+        return ChromaMatrix(values, as_number(doc["frame_rate_hz"]))
 
     return decode(doc, CHROMA_MATRIX_FORMAT, build)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 
 class FormatError(ValueError):
     """Malformed document: bad JSON, wrong format tag, or invalid payload."""
@@ -38,6 +40,46 @@ def decode(doc, expected_format: str, build):
     except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise FormatError(f"invalid {expected_format} document: {detail}") from exc
+
+
+def as_text(value) -> str:
+    """A JSON string field; null or a number is not coerced to one."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def as_number(value) -> float:
+    """A JSON number field as a float; a bool, string or null is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def as_integer(value) -> int:
+    """A JSON number field with an integral value, as an int; 4.9 is refused, not truncated."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+        raise ValueError(f"expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def as_numbers(values) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float64 array.
+
+    The element types are checked by NumPy's own type inference, with no
+    Python loop over the elements: a string, null, a nested object or an
+    integer too large for a float gives a non-numeric dtype and is
+    refused, as is an array of booleans alone.  A boolean among numbers
+    is inferred as a number and reads as 0 or 1.
+    """
+    array = np.array(values)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"expected an array of numbers, got elements of dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 def _reject_constant(name: str):

@@ -30,7 +30,7 @@ from .audio import (
 from .beats import BeatGrid, estimate_bpm, onset_envelope, track_beats
 from .chords import ChordSequence, TimeSignature
 from .chroma import ChromaMatrix, chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
-from .formats import decode, dump_document, load_document
+from .formats import as_number, as_text, decode, dump_document, load_document
 from .timewarp import WsolaConfig, align_to_anchors, build_anchor_map
 
 STEP_NAMES = {
@@ -166,9 +166,9 @@ def generation_request_to_dict(req: GenerationRequest) -> dict:
 def generation_request_from_dict(doc: dict) -> GenerationRequest:
     def build(doc: dict) -> GenerationRequest:
         return GenerationRequest(
-            str(doc["prompt"]),
-            float(doc["bpm"]),
-            float(doc["duration_s"]),
+            as_text(doc["prompt"]),
+            as_number(doc["bpm"]),
+            as_number(doc["duration_s"]),
             chroma_matrix_from_dict(doc["chroma"]),
         )
 
@@ -369,16 +369,21 @@ def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuff
 
     NaN or infinite samples have no peak to scale by and raise ValueError.
     """
+    gain = _normalizing_gain(buffer.samples, ceiling_dbfs)
+    if gain is None:
+        return buffer
+    return AudioBuffer._adopt(buffer.samples * gain, buffer.sample_rate)
+
+
+def _normalizing_gain(samples: np.ndarray, ceiling_dbfs: float) -> float | None:
+    """The factor that brings samples' peak down to the ceiling, or None if it is below."""
     if not -np.inf < ceiling_dbfs <= 0:
         raise ValueError("ceiling_dbfs must be finite and <= 0")
     ceiling = 10.0 ** (ceiling_dbfs / 20.0)
-    samples = buffer.samples
-    peak = max(float(samples.max()), -float(samples.min())) if buffer.n_samples else 0.0
+    peak = max(float(samples.max()), -float(samples.min())) if samples.shape[1] else 0.0
     if not np.isfinite(peak):
         raise ValueError("cannot normalize a buffer holding NaN or infinite samples")
-    if peak <= ceiling:
-        return buffer
-    return AudioBuffer(buffer.samples * (ceiling / peak), buffer.sample_rate)
+    return None if peak <= ceiling else ceiling / peak
 
 
 def finalize_remix(
@@ -406,26 +411,27 @@ def finalize_remix(
         raise PipelineStepError(4, str(exc)) from exc
     try:
         warped = resample_linear(warped, stems.instrumental.sample_rate)
-        background = warped.samples * config.generated_gain
-        if stems.vocals is None:
-            mixed = background
+        vocals = None if stems.vocals is None else stems.vocals.samples
+        if vocals is not None and vocals.shape[0] != warped.n_channels:
+            vocals = to_mono(stems.vocals).samples
+            if warped.n_channels > 1:
+                vocals = np.repeat(vocals, warped.n_channels, axis=0)
+        # One array holds the mix; a gain of exactly 1 multiplies nothing.
+        n = warped.n_samples if vocals is None else max(warped.n_samples, vocals.shape[1])
+        mixed = np.zeros((warped.n_channels, n))
+        background = mixed[:, : warped.n_samples]
+        if config.generated_gain == 1.0:
+            background[:] = warped.samples
         else:
-            vocals = stems.vocals
-            if vocals.n_channels != warped.n_channels:
-                if warped.n_channels == 1:
-                    vocals = to_mono(vocals)
-                else:
-                    vocals = AudioBuffer(
-                        np.repeat(to_mono(vocals).samples, warped.n_channels, axis=0),
-                        vocals.sample_rate,
-                    )
-            n = max(background.shape[1], vocals.n_samples)
-            mixed = np.zeros((background.shape[0], n))
-            mixed[:, : background.shape[1]] = background
-            mixed[:, : vocals.n_samples] += vocals.samples * config.vocal_gain
-        return peak_normalize(
-            AudioBuffer(mixed, stems.instrumental.sample_rate), config.ceiling_dbfs
-        )
+            np.multiply(warped.samples, config.generated_gain, out=background)
+        if vocals is not None:
+            if config.vocal_gain != 1.0:
+                vocals = vocals * config.vocal_gain
+            mixed[:, : vocals.shape[1]] += vocals
+        gain = _normalizing_gain(mixed, config.ceiling_dbfs)
+        if gain is not None:
+            mixed *= gain
+        return AudioBuffer._adopt(mixed, stems.instrumental.sample_rate)
     except ValueError as exc:
         raise PipelineStepError(5, str(exc)) from exc
 

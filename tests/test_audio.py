@@ -36,6 +36,50 @@ def test_buffer_rejects_bad_rate():
         AudioBuffer(np.zeros(10), 0)
 
 
+def test_buffer_copies_caller_array():
+    x = np.zeros((2, 100))
+    buffer = AudioBuffer(x, 8000)
+    x[:, :10] = 0.5
+    assert not buffer.samples.any()
+    view = np.linspace(0.0, 1.0, 100)
+    view.setflags(write=False)
+    mono = AudioBuffer(view, 8000)
+    assert mono.samples.base is not view and not np.shares_memory(mono.samples, view)
+
+
+def _assert_sealed(buffer):
+    samples = buffer.samples
+    assert samples.dtype == np.float64 and samples.flags.c_contiguous
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0, 0] = 1.0
+
+
+def test_returned_buffers_are_read_only():
+    rng = np.random.default_rng(2)
+    stereo = AudioBuffer(rng.uniform(-1, 1, (2, 999)), 8000)
+    _assert_sealed(stereo)
+    _assert_sealed(AudioBuffer(np.zeros(5), 8000))
+    _assert_sealed(to_mono(stereo))
+    _assert_sealed(resample_linear(stereo, 11025))
+    _assert_sealed(resample_linear(AudioBuffer(np.zeros((2, 0)), 8000), 11025))
+    for buffer in (stereo, to_mono(stereo)):
+        for encoding in ("pcm16", "float32"):
+            _assert_sealed(decode_wav(encode_wav(buffer, encoding)))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize(
+    "encoding, dtype, scale", [("pcm16", "<i2", 32768.0), ("float32", "<f4", 1.0)]
+)
+def test_decode_matches_plain_conversion(channels, encoding, dtype, scale):
+    buffer = AudioBuffer(np.random.default_rng(channels).uniform(-1, 1, (channels, 777)), 8000)
+    data = encode_wav(buffer, encoding)
+    raw = np.frombuffer(data[44:], dtype=dtype).astype(np.float64)
+    expected = (raw / scale if scale != 1.0 else raw).reshape(-1, channels).T
+    assert np.array_equal(decode_wav(data).samples, expected)
+
+
 def test_to_mono_averages():
     stereo = AudioBuffer(np.stack([np.ones(10), -np.ones(10)]), 8000)
     assert not np.asarray(to_mono(stereo).samples).any()

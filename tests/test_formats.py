@@ -187,6 +187,56 @@ def test_hostile_field_raises_format_error(kind, path, value):
         from_dict(_replaced(_valid(kind), path, value))
 
 
+# Fields of a wrong JSON type that a plain float(), int() or str() would
+# coerce into a valid-looking object.
+_MISTYPED = [
+    ("genreq", ("prompt",), None),
+    ("genreq", ("prompt",), 7),
+    ("genreq", ("bpm",), True),
+    ("genreq", ("bpm",), "96"),
+    ("genreq", ("duration_s",), "10"),
+    ("genreq", ("chroma", "data", 0, 0), "1"),
+    ("chroma-matrix", ("data", 0, 0), "1"),
+    ("chroma-matrix", ("data",), [[True] * 12] * _MATRIX.n_frames),
+    ("chroma-matrix", ("frames",), _MATRIX.n_frames + 0.9),
+    ("chroma-matrix", ("frames",), True),
+    ("chroma-matrix", ("frame_rate_hz",), True),
+    ("chord-seq", ("bpm",), True),
+    ("chord-seq", ("time_signature",), [4.5, 4]),
+    ("chord-seq", ("time_signature",), [4, 4.5]),
+    ("chord-seq", ("time_signature",), ["4", 4]),
+    ("chord-seq", ("events", 0, "start_s"), "0"),
+    ("chord-seq", ("events", 0, "duration_s"), True),
+    ("beat-grid", ("bpm",), True),
+    ("beat-grid", ("beats_per_bar",), 4.5),
+    ("beat-grid", ("beats_per_bar",), "4"),
+    ("beat-grid", ("beats_s", 1), "0.5"),
+    ("beat-grid", ("downbeats_s",), [[0.0], [2.0]]),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", _MISTYPED, ids=[_case_id(*c) for c in _MISTYPED])
+def test_mistyped_field_raises_format_error(kind, path, value):
+    from_dict = _READERS[kind][0]
+    with pytest.raises(FormatError):
+        from_dict(_replaced(_valid(kind), path, value))
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("chroma-matrix", ("frames",), float(_MATRIX.n_frames)),
+        ("chord-seq", ("time_signature",), [4.0, 4]),
+        ("beat-grid", ("beats_per_bar",), 4.0),
+        ("genreq", ("bpm",), 96),
+    ],
+    ids=["frames", "time_signature", "beats_per_bar", "int-bpm"],
+)
+def test_integral_numbers_read_either_way(kind, path, value):
+    from_dict, _, obj = _READERS[kind]
+    assert from_dict(_replaced(_valid(kind), path, value)) == obj
+
+
 @pytest.mark.parametrize("kind", sorted(_READERS))
 def test_reader_rejects_non_object(kind):
     with pytest.raises(FormatError):

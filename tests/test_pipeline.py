@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 import urllib.request
 
 import numpy as np
@@ -31,7 +32,9 @@ from chordweave.pipeline import (
     run_remix,
     write_generation_request,
 )
+from chordweave import timewarp
 from chordweave.synth import chord_tones, click_track, concat, mix, silence
+from chordweave.timewarp import align_to_anchors, build_anchor_map, wsola_stretch
 
 SR = 44100
 START = 0.25
@@ -364,6 +367,67 @@ def test_finalize_mixes_vocals(instrumental, bundle):
     # vocal energy persists past the warped background's end
     tail = np.asarray(out.samples)[:, int(7.0 * SR):]
     assert np.abs(tail).max() > 0.01
+
+
+@pytest.mark.parametrize("gains", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "scaled"])
+@pytest.mark.parametrize("vocal_channels", [0, 1, 2])
+def test_finalize_matches_separate_steps(instrumental, bundle, gains, vocal_channels):
+    # The mix as warp, gains, zero-padded sum and peak_normalize, one step at a time.
+    config = RemixConfig(generated_gain=gains[0], vocal_gain=gains[1])
+    clicks = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
+    gen = AudioBuffer(clicks.samples * 2.5, SR)
+    gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
+    vocals = None
+    if vocal_channels:
+        tone = chord_tones([0, 4], 8.25, SR, amplitude=0.4).samples
+        levels = np.array([[1.0], [0.5]])[:vocal_channels]
+        vocals = AudioBuffer(np.repeat(tone, vocal_channels, axis=0) * levels, SR)
+    out = finalize_remix(gen, StemSet(instrumental, vocals), gen_grid, bundle.beat_grid, config)
+    warped = align_to_anchors(gen, build_anchor_map(gen_grid, bundle.beat_grid), config.wsola)
+    mixed = warped.samples * config.generated_gain
+    if vocals is not None:
+        mixed = np.pad(mixed, ((0, 0), (0, max(0, vocals.n_samples - warped.n_samples))))
+        mixed[:, : vocals.n_samples] += to_mono(vocals).samples * config.vocal_gain
+    expected = peak_normalize(AudioBuffer(mixed, SR), config.ceiling_dbfs)
+    assert np.array_equal(out.samples, expected.samples)
+    assert not out.samples.flags.writeable
+
+
+def test_warp_and_mix_buffers_are_read_only(instrumental, bundle):
+    config = RemixConfig()
+    gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
+    gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
+    loud = AudioBuffer(np.array(gen.samples) * 4.0, SR)
+    buffers = [
+        wsola_stretch(gen, 1.3),
+        align_to_anchors(gen, build_anchor_map(gen_grid, bundle.beat_grid)),
+        peak_normalize(loud, -1.0),
+        finalize_remix(gen, StemSet(instrumental), gen_grid, bundle.beat_grid, config),
+    ]
+    for buffer in buffers:
+        assert buffer.samples.flags.c_contiguous and not buffer.samples.flags.writeable
+
+
+def test_warp_error_in_a_worker_is_a_step_4_error(monkeypatch, instrumental, bundle):
+    monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: 2)
+    caller = threading.get_ident()
+    failure = ValueError("grain search failed")
+    search = timewarp._search_offsets
+
+    def failing_in_workers(mono, spans, config):
+        if threading.get_ident() != caller:
+            raise failure
+        return search(mono, spans, config)
+
+    monkeypatch.setattr(timewarp, "_search_offsets", failing_in_workers)
+    config = RemixConfig()
+    gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
+    gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
+    with pytest.raises(PipelineStepError) as info:
+        finalize_remix(gen, StemSet(instrumental), gen_grid, bundle.beat_grid, config)
+    assert info.value.step == 4
+    assert info.value.__cause__ is failure
 
 
 def test_finalize_rejects_empty_generation(instrumental, bundle):

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from chordweave import timewarp
 from chordweave.audio import AudioBuffer, stft, to_mono
 from chordweave.beats import BeatGrid
 from chordweave.synth import click_track, sine
@@ -359,7 +363,7 @@ def test_align_matches_per_grain_reference(case):
     assert np.array_equal(np.asarray(out.samples), expected)
 
 
-@pytest.mark.parametrize(
+STRETCH_CONFIGS = pytest.mark.parametrize(
     "config",
     [
         WsolaConfig(frame_length=256, search_tolerance=100),
@@ -368,10 +372,78 @@ def test_align_matches_per_grain_reference(case):
     ],
     ids=["half-hop", "short-hop", "no-search"],
 )
-@pytest.mark.parametrize("signal", SIGNALS)
-@pytest.mark.parametrize("ratio", [0.3, 1.7, 3.5])
+STRETCH_SIGNALS = pytest.mark.parametrize("signal", SIGNALS)
+STRETCH_RATIOS = pytest.mark.parametrize("ratio", [0.3, 1.7, 3.5])
+
+
+@STRETCH_CONFIGS
+@STRETCH_SIGNALS
+@STRETCH_RATIOS
 def test_stretch_matches_per_grain_reference(config, signal, ratio):
     samples = _signal(signal, np.random.default_rng(3), 2, 6000)
     out = wsola_stretch(AudioBuffer(samples, 8000), ratio, config)
     expected = _reference_to_length(samples, int(round(6000 * ratio)), config)
     assert np.array_equal(np.asarray(out.samples), expected)
+
+
+@pytest.fixture
+def split_warp(monkeypatch):
+    """Every warp split into groups of segments, as on a host with three CPUs."""
+    monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: 3)
+
+
+def test_align_matches_per_grain_reference_in_groups(split_warp):
+    test_align_matches_per_grain_reference()
+
+
+@STRETCH_CONFIGS
+@STRETCH_SIGNALS
+@STRETCH_RATIOS
+def test_stretch_matches_per_grain_reference_in_groups(split_warp, config, signal, ratio):
+    test_stretch_matches_per_grain_reference(config, signal, ratio)
+
+
+def test_many_segments_land_in_their_slices(split_warp, monkeypatch):
+    searches = []
+    search = timewarp._search_offsets
+
+    def recording_search(mono, spans, config):
+        searches.append((threading.get_ident(), [span[0] for span in spans]))
+        return search(mono, spans, config)
+
+    monkeypatch.setattr(timewarp, "_search_offsets", recording_search)
+    rng = np.random.default_rng(11)
+    # 14 stretched segments of different lengths, each followed by a copied one.
+    pairs, src, tgt = [(0.0, 0.0)], 0, 0
+    for k in range(14):
+        n = int(rng.integers(1500, 4000))
+        for length, target in ((n, round(n * rng.uniform(0.6, 1.8))), (300, 300)):
+            src, tgt = src + length, tgt + target
+            pairs.append((src / 8000, tgt / 8000))
+    buffer = AudioBuffer(rng.normal(0.0, 0.3, (2, src)), 8000)
+    anchors = AnchorMap(tuple(pairs))
+    # Threads switch as often as the interpreter allows, so the groups'
+    # writes into the shared output interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = align_to_anchors(buffer, anchors)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out.samples, reference_align(buffer, anchors, WsolaConfig()))
+    # Three groups, the calling thread's among them, cover each segment once.
+    assert len(searches) == 3
+    assert threading.get_ident() in {ident for ident, _ in searches}
+    starts = sorted(lo for _, los in searches for lo in los)
+    assert starts == [round(s * 8000) for s, _ in pairs[:-1:2]]
+
+
+@STRETCH_CONFIGS
+@pytest.mark.parametrize("block", [1, 7])
+def test_overlap_add_in_blocks_matches_reference(monkeypatch, config, block):
+    # Segments here hold a few hundred grains, fewer than one gather block:
+    # smaller blocks make every block boundary of the overlap-add run.
+    monkeypatch.setattr(timewarp, "_OLA_BLOCK", block)
+    for signal in ("noise", "clicks"):
+        test_stretch_matches_per_grain_reference(config, signal, 1.7)
