@@ -92,19 +92,30 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     reads the source at time k / target_rate.  Identity when the rates
     already match.
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be > 0")
     if target_rate == buffer.sample_rate:
         return buffer
-    n_out = int(round(buffer.n_samples * target_rate / buffer.sample_rate))
-    if buffer.n_samples == 0 or n_out == 0:
-        return AudioBuffer._adopt(np.zeros((buffer.n_channels, 0)), target_rate)
-    src_positions = np.arange(buffer.n_samples, dtype=np.float64)
-    out_positions = np.arange(n_out, dtype=np.float64) * (buffer.sample_rate / target_rate)
-    out = np.empty((buffer.n_channels, n_out))
-    for ch, row in zip(buffer.samples, out):
+    return AudioBuffer._adopt(
+        _resample_rows(buffer.samples, buffer.sample_rate, target_rate), target_rate
+    )
+
+
+def _resample_rows(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
+    """resample_linear on a (channels, n) array: `samples` itself when the
+    rates match, else a new array."""
+    if target_rate <= 0:
+        raise ValueError("target_rate must be > 0")
+    if target_rate == rate:
+        return samples
+    n_channels, n = samples.shape
+    n_out = int(round(n * target_rate / rate))
+    if n == 0 or n_out == 0:
+        return np.zeros((n_channels, 0))
+    src_positions = np.arange(n, dtype=np.float64)
+    out_positions = np.arange(n_out, dtype=np.float64) * (rate / target_rate)
+    out = np.empty((n_channels, n_out))
+    for ch, row in zip(samples, out):
         row[:] = np.interp(out_positions, src_positions, ch)
-    return AudioBuffer._adopt(out, target_rate)
+    return out
 
 
 _PCM16_SCALE = 32768.0
@@ -113,16 +124,20 @@ _WAVE_FORMAT_IEEE_FLOAT = 3
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
-    """Decode RIFF/WAVE bytes (PCM16 or float32) into an AudioBuffer."""
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+    """Decode RIFF/WAVE bytes (PCM16 or float32) into an AudioBuffer.
+
+    Chunks are read through a memoryview, so no chunk body is copied.
+    """
+    view = memoryview(data)
+    if len(view) < 12 or view[:4] != b"RIFF" or view[8:12] != b"WAVE":
         raise WavFormatError("not a RIFF/WAVE stream")
     fmt = None
     payload = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+    while pos + 8 <= len(view):
+        chunk_id = view[pos : pos + 4]
+        (chunk_size,) = struct.unpack_from("<I", view, pos + 4)
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError("truncated fmt chunk")
@@ -148,51 +163,64 @@ def decode_wav(data: bytes) -> AudioBuffer:
     raw = np.frombuffer(payload, dtype="<i2" if codec == _WAVE_FORMAT_PCM else "<f4")
     if codec == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(raw).all():
         raise WavFormatError("float32 data holds NaN or infinite samples")
-    # One conversion de-interleaves the frames into (channels, n) rows.
-    samples = np.ascontiguousarray(raw.reshape(-1, n_channels).T, dtype=np.float64)
+    # One pass de-interleaves the frames into (channels, n) rows.
+    frames = raw.reshape(-1, n_channels).T
+    samples = np.empty(frames.shape)
     if codec == _WAVE_FORMAT_PCM:
-        samples /= _PCM16_SCALE
+        np.divide(frames, _PCM16_SCALE, out=samples)
+    else:
+        samples[:] = frames
     return AudioBuffer._adopt(samples, sample_rate)
+
+
+# Sample frames converted per step of the WAV encoder, which bounds its
+# float64 scratch to this many frames whatever the clip's length.
+_ENCODE_BLOCK = 1 << 16
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+
+
+def _wav_image(buffer: AudioBuffer, encoding: str) -> bytearray:
+    """The RIFF/WAVE file of a buffer, header and payload, in one new bytearray.
+
+    Frames are converted _ENCODE_BLOCK at a time straight into the
+    payload.  PCM16 is round-half-even of sample * 32768, clipped to
+    [-32768, 32767]; float32 is the nearest float32.  The payload is
+    whole 2- or 4-byte samples, so it never needs a pad byte.
+    """
+    if encoding == "pcm16":
+        codec, dtype = _WAVE_FORMAT_PCM, np.dtype("<i2")
+    elif encoding == "float32":
+        codec, dtype = _WAVE_FORMAT_IEEE_FLOAT, np.dtype("<f4")
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    n_channels, n = buffer.samples.shape
+    block_align = n_channels * dtype.itemsize
+    payload_size = n * block_align
+    image = bytearray(_WAV_HEADER.size + payload_size)
+    rate = buffer.sample_rate
+    fmt_body = (codec, n_channels, rate, rate * block_align, block_align, 8 * dtype.itemsize)
+    riff_size = _WAV_HEADER.size - 8 + payload_size
+    _WAV_HEADER.pack_into(
+        image, 0, b"RIFF", riff_size, b"WAVE", b"fmt ", 16, *fmt_body, b"data", payload_size
+    )
+    payload = np.frombuffer(image, dtype, offset=_WAV_HEADER.size).reshape(n, n_channels)
+    if codec == _WAVE_FORMAT_PCM:
+        scratch = np.empty((min(n, _ENCODE_BLOCK), n_channels))
+    for first in range(0, n, _ENCODE_BLOCK):
+        frames = buffer.samples[:, first : first + _ENCODE_BLOCK].T
+        if codec == _WAVE_FORMAT_PCM:
+            block = scratch[: len(frames)]
+            np.multiply(frames, _PCM16_SCALE, out=block)
+            np.round(block, out=block)
+            np.clip(block, -32768, 32767, out=block)
+            frames = block
+        np.copyto(payload[first : first + _ENCODE_BLOCK], frames, casting="unsafe")
+    return image
 
 
 def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytes:
     """Encode a buffer as RIFF/WAVE bytes; encoding is "pcm16" or "float32"."""
-    interleaved = buffer.samples.T.reshape(-1)
-    if encoding == "pcm16":
-        scaled = np.round(interleaved * _PCM16_SCALE)
-        payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
-        codec, bits = _WAVE_FORMAT_PCM, 16
-    elif encoding == "float32":
-        payload = interleaved.astype("<f4").tobytes()
-        codec, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    block_align = buffer.n_channels * bits // 8
-    fmt_body = struct.pack(
-        "<HHIIHH",
-        codec,
-        buffer.n_channels,
-        buffer.sample_rate,
-        buffer.sample_rate * block_align,
-        block_align,
-        bits,
-    )
-    pad = b"\x00" if len(payload) & 1 else b""
-    riff_size = 4 + (8 + len(fmt_body)) + (8 + len(payload) + len(pad))
-    return b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", riff_size),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<I", len(fmt_body)),
-            fmt_body,
-            b"data",
-            struct.pack("<I", len(payload)),
-            payload,
-            pad,
-        ]
-    )
+    return bytes(_wav_image(buffer, encoding))
 
 
 def read_wav(path_or_file) -> AudioBuffer:
@@ -204,7 +232,8 @@ def read_wav(path_or_file) -> AudioBuffer:
 
 
 def write_wav(buffer: AudioBuffer, path_or_file, encoding: str = "pcm16") -> None:
-    data = encode_wav(buffer, encoding)
+    """Write a buffer as a WAV file to a path or a binary file-like object."""
+    data = _wav_image(buffer, encoding)
     if hasattr(path_or_file, "write"):
         path_or_file.write(data)
         return
@@ -252,15 +281,17 @@ class Spectrogram:
         )
 
 
-def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int):
+def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int, lead: int = 0):
     """The STFT frame count of a 1-D signal, and its frames' magnitudes in blocks.
 
-    Returns (n_frames, blocks): blocks yields (first_frame, |rfft(frames
-    * hann)|) for consecutive runs of frames.  Frames are rows of one
-    strided view of x, so only the windowed rows of the current block
-    (about 2**18 samples) are ever materialised.  A signal shorter than
-    one window has no frames.  The sizes are checked here, eagerly; the
-    blocks are computed as they are consumed.
+    The signal framed is x after `lead` zeros.  Returns (n_frames,
+    blocks): blocks yields (first_frame, |rfft(frames * hann)|) for
+    consecutive runs of frames.  Frames are rows of one strided view of
+    x, or of a zero-padded copy of x's head for the few that overlap the
+    lead, so only the windowed rows of the current block (about 2**18
+    samples) are ever materialised.  A signal shorter than one window
+    has no frames.  The sizes are checked here, eagerly; the blocks are
+    computed as they are consumed.
 
     No block is a single frame unless the signal is: NumPy sums the
     columns of a one-row gather pairwise but those of a taller one in
@@ -271,20 +302,35 @@ def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int):
         raise ValueError("window_size must be a power of two >= 2")
     if hop_size < 1:
         raise ValueError("hop_size must be >= 1")
-    if x.shape[0] < window_size:
+    if lead + x.shape[0] < window_size:
         return 0, iter(())
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size]
-    n_frames = frames.shape[0]
+    n_frames = (lead + x.shape[0] - window_size) // hop_size + 1
+    # Frames before n_head start inside the leading zeros.
+    n_head = min(-(-lead // hop_size), n_frames)
+    head_frames = body_frames = np.empty((0, window_size))
+    if n_head:
+        head = np.zeros((n_head - 1) * hop_size + window_size)
+        head[lead:] = x[: max(len(head) - lead, 0)]
+        head_frames = np.lib.stride_tricks.sliding_window_view(head, window_size)[::hop_size]
+    if n_head < n_frames:
+        body_frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[
+            n_head * hop_size - lead :: hop_size
+        ]
     window = np.hanning(window_size)
     block = max(2, 2**18 // window_size)
 
     def blocks():
         start = 0
         while start < n_frames:
-            stop = start + block
+            stop = min(start + block, n_frames)
             if stop + 1 == n_frames:
                 stop = n_frames  # the last frame joins this block
-            yield start, np.abs(np.fft.rfft(frames[start:stop] * window, axis=1))
+            windowed = np.empty((stop - start, window_size))
+            split = min(max(n_head, start), stop)
+            np.multiply(head_frames[start:split], window, out=windowed[: split - start])
+            body = body_frames[split - n_head : stop - n_head]
+            np.multiply(body, window, out=windowed[split - start :])
+            yield start, np.abs(np.fft.rfft(windowed, axis=1))
             start = stop
 
     return n_frames, blocks()

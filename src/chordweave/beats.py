@@ -82,17 +82,17 @@ def onset_envelope(
 
     Frame k > 0 sums the positive magnitude increases from frame k-1;
     frame 0 is defined as zero.  Analysis windows are centred on frame
-    times (the signal is zero-padded by half a window up front), so an
-    onset at time t spikes at the frame nearest t * frame_rate.  The
+    times (the signal is framed as if led by half a window of zeros), so
+    an onset at time t spikes at the frame nearest t * frame_rate.  The
     spectrum streams through in blocks, carrying the previous block's
-    last frame, so no full-size magnitude matrix is built or copied.
+    last frame, so neither a padded copy of the signal nor a full-size
+    magnitude matrix is built.
     """
     if buffer.n_channels != 1:
         raise ValueError("onset envelope expects a mono buffer; call to_mono first")
     if buffer.n_samples < window_size:
         raise ValueError(f"buffer holds {buffer.n_samples} samples; need {window_size}")
-    padded = np.concatenate([np.zeros(window_size // 2), buffer.samples[0]])
-    n_frames, blocks = _stft_blocks(padded, window_size, hop_size)
+    n_frames, blocks = _stft_blocks(buffer.samples[0], window_size, hop_size, window_size // 2)
     flux = np.empty(n_frames)
     previous = None
     for first, mags in blocks:

@@ -16,6 +16,7 @@ import json
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .analysis import ChromagramConfig, RecognitionConfig, compute_chromagram, r
 from .audio import (
     AudioBuffer,
     WavFormatError,
+    _resample_rows,
     decode_wav,
     resample_linear,
     to_mono,
@@ -31,7 +33,8 @@ from .beats import BeatGrid, estimate_bpm, onset_envelope, track_beats
 from .chords import ChordSequence, TimeSignature
 from .chroma import ChromaMatrix, chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
 from .formats import as_number, as_text, decode, dump_document, load_document
-from .timewarp import WsolaConfig, align_to_anchors, build_anchor_map
+from . import timewarp
+from .timewarp import WsolaConfig, build_anchor_map
 
 STEP_NAMES = {
     1: "structure analysis",
@@ -223,12 +226,20 @@ def analyze_beats(buffer: AudioBuffer, config: RemixConfig) -> BeatGrid:
         raise PipelineStepError(1, str(exc)) from exc
 
 
-def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> ChordSequence:
-    """Step 3: chromagram plus template matching, in a bar of beats_per_bar beats."""
+def _chromagram(buffer: AudioBuffer, config: RemixConfig) -> ChromaMatrix:
+    """Step 3's first half: the buffer's chromagram, of at least one frame."""
     try:
         chromagram = compute_chromagram(to_mono(buffer), config.chromagram)
         if chromagram.n_frames == 0:
             raise ValueError("input too short for a single chromagram frame")
+        return chromagram
+    except ValueError as exc:
+        raise PipelineStepError(3, str(exc)) from exc
+
+
+def _recognize(chromagram: ChromaMatrix, bpm: float, config: RemixConfig) -> ChordSequence:
+    """Step 3's second half: template matching, in a bar of beats_per_bar beats."""
+    try:
         return recognize_chords(
             chromagram,
             config.recognition,
@@ -239,15 +250,30 @@ def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> Chor
         raise PipelineStepError(3, str(exc)) from exc
 
 
+def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> ChordSequence:
+    """Step 3: chromagram plus template matching, in a bar of beats_per_bar beats."""
+    return _recognize(_chromagram(buffer, config), bpm, config)
+
+
 def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> ConditioningBundle:
     """Steps 1-3: analyze the input and package the generation inputs.
 
     Beat analysis and chord extraction run on the instrumental stem; the
     recognized chords are rendered to conditioning chroma at the
-    configured rate.
+    configured rate.  The chromagram does not depend on the beat grid,
+    so on a stem of at least timewarp.PARALLEL_MIN_SAMPLES samples, with
+    more than one CPU available, it is computed on a worker thread while
+    this one finds the grid; the results are those of a serial run.  A
+    grid failure is reported as step 1 whether or not the chromagram
+    also failed.
     """
-    grid = analyze_beats(stems.instrumental, config)
-    chords = extract_chords(stems.instrumental, grid.bpm, config)
+    mono = to_mono(stems.instrumental)
+    calls = [partial(analyze_beats, mono, config), partial(_chromagram, mono, config)]
+    if mono.n_samples >= timewarp.PARALLEL_MIN_SAMPLES and timewarp._available_cpus() > 1:
+        grid, chromagram = timewarp._run_split(calls)
+    else:
+        grid, chromagram = [call() for call in calls]
+    chords = _recognize(chromagram, grid.bpm, config)
     chroma = render_matrix(chords, config.conditioning_frame_rate_hz)
     return ConditioningBundle(grid, chords, chroma, prompt, stems.instrumental.duration_s)
 
@@ -406,24 +432,24 @@ def finalize_remix(
         raise PipelineStepError(4, "generated audio is empty")
     try:
         anchors = build_anchor_map(generated_grid, input_grid)
-        warped = align_to_anchors(generated, anchors, config.wsola)
+        warped = timewarp._aligned_samples(generated, anchors, config.wsola)
     except ValueError as exc:
         raise PipelineStepError(4, str(exc)) from exc
     try:
-        warped = resample_linear(warped, stems.instrumental.sample_rate)
+        rate = stems.instrumental.sample_rate
+        # The warp's output is a fresh array (and so is a resampled one),
+        # so the mix is built in it unless the vocals run longer.
+        warped = _resample_rows(warped, generated.sample_rate, rate)
         vocals = None if stems.vocals is None else stems.vocals.samples
-        if vocals is not None and vocals.shape[0] != warped.n_channels:
-            vocals = to_mono(stems.vocals).samples
-            if warped.n_channels > 1:
-                vocals = np.repeat(vocals, warped.n_channels, axis=0)
-        # One array holds the mix; a gain of exactly 1 multiplies nothing.
-        n = warped.n_samples if vocals is None else max(warped.n_samples, vocals.shape[1])
-        mixed = np.zeros((warped.n_channels, n))
-        background = mixed[:, : warped.n_samples]
-        if config.generated_gain == 1.0:
-            background[:] = warped.samples
-        else:
-            np.multiply(warped.samples, config.generated_gain, out=background)
+        if vocals is not None and vocals.shape[0] != warped.shape[0]:
+            vocals = to_mono(stems.vocals).samples  # added to every channel
+        mixed = warped
+        if vocals is not None and vocals.shape[1] > warped.shape[1]:
+            mixed = np.zeros((warped.shape[0], vocals.shape[1]))
+            mixed[:, : warped.shape[1]] = warped
+        # A gain of exactly 1 multiplies nothing.
+        if config.generated_gain != 1.0:
+            mixed[:, : warped.shape[1]] *= config.generated_gain
         if vocals is not None:
             if config.vocal_gain != 1.0:
                 vocals = vocals * config.vocal_gain
@@ -431,7 +457,7 @@ def finalize_remix(
         gain = _normalizing_gain(mixed, config.ceiling_dbfs)
         if gain is not None:
             mixed *= gain
-        return AudioBuffer._adopt(mixed, stems.instrumental.sample_rate)
+        return AudioBuffer._adopt(mixed, rate)
     except ValueError as exc:
         raise PipelineStepError(5, str(exc)) from exc
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,7 @@ TIE_FLOOR = 1e-9
 # module docstring.  About 45 s at 44.1 kHz.  On a 2-vCPU guest, two
 # threads warped a 30 s clip (1.3M samples) in 231 ms against 195 ms on
 # one, and a 90 s clip (3.9M samples) in 378 ms against 545 ms.
+# pipeline.prepare_conditioning applies the same rule to its input.
 PARALLEL_MIN_SAMPLES = 2_000_000
 
 # Grains overlap-added per gather, which bounds the gathered grains to
@@ -149,12 +151,15 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
     return [row[:count] for row, count in zip(starts, counts)]
 
 
-def _overlap_add(x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: WsolaConfig):
+def _overlap_add(
+    x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: WsolaConfig, window_rows: np.ndarray
+):
     """Overlap-add the Hann-windowed grains x[:, s : s + grain] for s in starts into out.
 
     Grain k lands at k * hop; the sum is divided by the summed window
     where that exceeds 1e-8, and its first out.shape[1] samples are
     written.  Every start must leave a whole grain inside x.
+    `window_rows` is the Hann window zero-padded to rows of one hop.
 
     The sum is laid out as rows of one hop each: a grain zero-padded to
     m = ceil(grain / hop) rows adds its row j to output row k + j.
@@ -165,9 +170,8 @@ def _overlap_add(x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: Wso
     changes no sum.
     """
     grain, hop = config.frame_length, config.hop
-    n_grains, rows = len(starts), -(-grain // hop)
-    window = np.hanning(grain)
-    window_rows = np.pad(window, (0, rows * hop - grain)).reshape(rows, hop)
+    n_grains, rows = len(starts), len(window_rows)
+    window = window_rows.reshape(-1)[:grain]
     weight = np.zeros((n_grains + rows - 1, hop))
     for j in reversed(range(rows)):
         weight[j : j + n_grains] += window_rows[j]
@@ -203,6 +207,26 @@ def _groups(n_grains: np.ndarray, workers: int) -> list[np.ndarray]:
     return [group for group in np.split(np.arange(len(n_grains)), cuts) if group.size]
 
 
+def _run_split(calls: list) -> list:
+    """Every call's result, in order, with the first call on this thread and
+    each of the rest on a worker thread of its own.
+
+    Every call finishes before this returns or raises, and the first
+    failure in call order is raised; the workers are gone by then.
+    """
+    if len(calls) == 1:
+        return [calls[0]()]
+    # Imported here, not at the top: it loads `logging` and `queue`, which
+    # nothing else in the package needs, and a process that never splits
+    # work (a document or short-clip run) would carry them for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
+        futures = [pool.submit(call) for call in calls[1:]]
+        first = calls[0]()
+        return [first] + [future.result() for future in futures]
+
+
 def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.ndarray:
     """Stretch samples[:, lo:hi] to exactly target_len samples per (lo, hi, target_len).
 
@@ -234,34 +258,22 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.nd
     if not spans:
         return out
     mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
+    grain, hop = config.frame_length, config.hop
+    rows = -(-grain // hop)
+    window_rows = np.pad(np.hanning(grain), (0, rows * hop - grain)).reshape(rows, hop)
 
     def stretch(group):
         group_spans = [spans[i] for i in group]
         for i, starts in zip(group, _search_offsets(mono, group_spans, config)):
             lo, n, _ = spans[i]
-            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config)
+            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, window_rows)
 
     workers = 1
     if out.shape[1] >= PARALLEL_MIN_SAMPLES:
         workers = min(_available_cpus(), len(spans))
-    grain, hop = config.frame_length, config.hop
     n_grains = [-(-(target_len - grain) // hop) + 1 for _, _, target_len in spans]
     groups = _groups(np.array(n_grains), workers)
-    if len(groups) == 1:
-        stretch(groups[0])
-        return out
-    # Imported here, not at the top: it loads `logging` and `queue`, which
-    # nothing else in the package needs, and a process that never warps a
-    # long clip (a document or short-clip run) would carry them for nothing.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(groups) - 1) as pool:
-        futures = [pool.submit(stretch, group) for group in groups[1:]]
-        try:
-            stretch(groups[0])
-        finally:
-            for future in futures:
-                future.result()
+    _run_split([partial(stretch, group) for group in groups])
     return out
 
 
@@ -350,6 +362,13 @@ def align_to_anchors(
     round(last_target * rate) samples; input past the last source anchor
     is dropped.
     """
+    return AudioBuffer._adopt(_aligned_samples(buffer, anchors, config), buffer.sample_rate)
+
+
+def _aligned_samples(
+    buffer: AudioBuffer, anchors: AnchorMap, config: WsolaConfig | None = None
+) -> np.ndarray:
+    """align_to_anchors' samples, in a new writable array no one else holds."""
     if config is None:
         config = WsolaConfig()
     rate = buffer.sample_rate
@@ -373,4 +392,4 @@ def align_to_anchors(
         )
         for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:])
     ]
-    return AudioBuffer._adopt(_stretch_segments(buffer.samples, bounds, config), rate)
+    return _stretch_segments(buffer.samples, bounds, config)

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 
 from chordweave.analysis import ChromagramConfig, _bin_pitch_classes, compute_chromagram
 from chordweave.audio import (
+    _ENCODE_BLOCK,
     AudioBuffer,
     WavFormatError,
+    _stft_blocks,
     decode_wav,
     encode_wav,
     read_wav,
@@ -388,3 +390,148 @@ def test_chromagram_matches_gather_reference(case, normalization):
     config = ChromagramConfig(window_size=window, hop_size=hop, normalization=normalization)
     mat = compute_chromagram(AudioBuffer(x, 44100), config)
     assert np.array_equal(mat.values, _gather_chromagram(x, 44100, config))
+
+
+def _padded_stft(x, window, hop, lead):
+    """_stft_blocks' frames of x after `lead` zeros, from an actually padded copy."""
+    return _gather_stft(np.concatenate([np.zeros(lead), x]), window, hop)
+
+
+def _stft_blocks_matrix(x, window, hop, lead):
+    n_frames, blocks = _stft_blocks(x, window, hop, lead)
+    mags = np.zeros((n_frames, window // 2 + 1))
+    for first, block in blocks:
+        mags[first : first + len(block)] = block
+    return mags
+
+
+@pytest.mark.parametrize("window, hop", [(256, 64), (512, 512), (128, 200), (64, 300)])
+@pytest.mark.parametrize("lead", [0, 1, 63, 64, 65, 301, 1000])
+def test_stft_blocks_frame_a_virtual_lead(window, hop, lead):
+    # lead + n lands just before, on and just after the end of a frame;
+    # leads span several hops, so some frames lie wholly in the zeros.
+    for frames in (0, 1, 2, 5):
+        for delta in (-1, 0, 1):
+            n = window + (frames - 1) * hop + delta - lead
+            if n < 0:
+                continue
+            x = np.random.default_rng(n).standard_normal(n)
+            expected = _padded_stft(x, window, hop, lead)
+            assert np.array_equal(_stft_blocks_matrix(x, window, hop, lead), expected)
+
+
+def _padded_onset_flux(x, window_size, hop_size):
+    """onset_envelope as it was computed on a padded copy of the signal."""
+    padded = np.concatenate([np.zeros(window_size // 2), x])
+    mags = _gather_stft(padded, window_size, hop_size)
+    flux = np.zeros(len(mags))
+    if len(mags) > 1:
+        flux[1:] = np.clip(np.diff(mags, axis=0), 0.0, None).sum(axis=1)
+    return flux
+
+
+# (window, hop): the onset default (256-frame blocks), overlapping, one
+# frame per hop, and hops longer than a window and than the half-window lead.
+@pytest.mark.parametrize("window, hop", [(1024, 512), (256, 64), (512, 512), (256, 384)])
+@pytest.mark.parametrize("edge", ["window", "hop", "block"])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_onset_envelope_matches_padded_reference(window, hop, edge, delta):
+    lead, block = window // 2, max(2, 2**18 // window)
+    frames = {"window": 1, "hop": 3, "block": block}[edge]
+    for whole in (frames, frames + 1, 2 * frames + 1):
+        # lead + n sits on the end of frame `whole` - 1, or a sample either side.
+        n = max(window, window + (whole - 1) * hop + delta - lead)
+        x = np.random.default_rng(n).standard_normal(n)
+        env = onset_envelope(AudioBuffer(x, 8000), window, hop)
+        assert np.array_equal(env.values, _padded_onset_flux(x, window, hop))
+
+
+def _reference_encode_wav(buffer, encoding):
+    """encode_wav as one formula over the whole interleaved array."""
+    interleaved = buffer.samples.T.reshape(-1)
+    if encoding == "pcm16":
+        scaled = np.round(interleaved * 32768.0)
+        payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
+        codec, bits = 1, 16
+    else:
+        payload = interleaved.astype("<f4").tobytes()
+        codec, bits = 3, 32
+    block_align = buffer.n_channels * bits // 8
+    rate = buffer.sample_rate
+    fmt_body = struct.pack("<HHIIHH", codec, buffer.n_channels, rate, rate * block_align, block_align, bits)
+    pad = b"\x00" if len(payload) & 1 else b""
+    riff_size = 4 + (8 + len(fmt_body)) + (8 + len(payload) + len(pad))
+    return b"".join(
+        [
+            b"RIFF", struct.pack("<I", riff_size), b"WAVE",
+            b"fmt ", struct.pack("<I", len(fmt_body)), fmt_body,
+            b"data", struct.pack("<I", len(payload)), payload, pad,
+        ]
+    )
+
+
+def _encoder_signal(channels, n):
+    """Noise past +/-1, with the full scale, clipping edges and exact half-LSB ties."""
+    rng = np.random.default_rng([channels, n])
+    x = rng.uniform(-1.5, 1.5, (channels, n))
+    lsb = 1.0 / 32768
+    specials = [1.0, -1.0, 1.0 - lsb / 2, -1.0 - lsb / 2, -1.0 - lsb, 0.0, -0.0]
+    specials += [(k + 0.5) * lsb for k in range(-6, 6)]  # round half to even
+    flat = x.reshape(-1)
+    at = np.arange(0, flat.size, 97)
+    flat[at] = np.resize(specials, at.size)
+    return x
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _ENCODE_BLOCK - 1, _ENCODE_BLOCK, _ENCODE_BLOCK + 1, 3 * _ENCODE_BLOCK + 7]
+)
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_encode_and_write_match_whole_array_formula(tmp_path, n, channels, encoding):
+    buffer = AudioBuffer(_encoder_signal(channels, n), 22050)
+    expected = _reference_encode_wav(buffer, encoding)
+    data = encode_wav(buffer, encoding)
+    assert type(data) is bytes and data == expected
+    write_wav(buffer, tmp_path / "out.wav", encoding)
+    assert (tmp_path / "out.wav").read_bytes() == expected
+    sink = io.BytesIO()
+    write_wav(buffer, sink, encoding)
+    assert sink.getvalue() == expected
+
+
+def test_encode_rounds_half_lsb_ties_to_even():
+    lsb = 1.0 / 32768
+    x = np.array([0.5, 1.5, 2.5, -0.5, -1.5, 32767.5, -32768.5]) * lsb
+    raw = np.frombuffer(encode_wav(AudioBuffer(x, 8000), "pcm16")[44:], "<i2")
+    assert raw.tolist() == [0, 2, 2, 0, -2, 32767, -32768]
+
+
+def _chunk(chunk_id, body):
+    return chunk_id + struct.pack("<I", len(body)) + body + (b"\x00" if len(body) & 1 else b"")
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("encoding, dtype", [("pcm16", "<i2"), ("float32", "<f4")])
+def test_decode_walks_odd_chunks_around_data(channels, encoding, dtype):
+    buffer = AudioBuffer(np.random.default_rng(channels).uniform(-1, 1, (channels, 1001)), 16000)
+    plain = encode_wav(buffer, encoding)
+    fmt_chunk, data_chunk = plain[12:36], plain[36:]
+    payload = data_chunk[8:]
+    body = (
+        _chunk(b"LIST", b"abc")
+        + fmt_chunk
+        + _chunk(b"junk", b"12345")
+        + data_chunk
+        + _chunk(b"smpl", b"1234567")
+    )
+    data = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+    # The conversion as it was: a float64 copy of the sliced payload, then scaled.
+    raw = np.frombuffer(data[data.index(payload) : data.index(payload) + len(payload)], dtype)
+    expected = np.ascontiguousarray(raw.reshape(-1, channels).T, dtype=np.float64)
+    if encoding == "pcm16":
+        expected /= 32768.0
+    for source in (data, bytearray(data), memoryview(data)):
+        out = decode_wav(source)
+        assert out.sample_rate == 16000 and np.array_equal(out.samples, expected)
+    assert np.array_equal(read_wav(io.BytesIO(data)).samples, expected)

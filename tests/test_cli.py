@@ -327,6 +327,16 @@ def test_console_script_runs():
         _assert_parse_exit_codes([installed])
 
 
+def test_import_does_not_load_concurrent_futures():
+    # The thread pool is imported only when work is split across threads.
+    code = "import sys, chordweave.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_invocation_matches(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "chordweave.cli", "parse", "C:maj", "--bpm", "90"],

@@ -1,6 +1,7 @@
 import json
 import struct
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -32,7 +33,7 @@ from chordweave.pipeline import (
     run_remix,
     write_generation_request,
 )
-from chordweave import timewarp
+from chordweave import pipeline, timewarp
 from chordweave.synth import chord_tones, click_track, concat, mix, silence
 from chordweave.timewarp import align_to_anchors, build_anchor_map, wsola_stretch
 
@@ -453,3 +454,124 @@ def test_run_remix_dry_run_deterministic(instrumental, tmp_path):
 def test_step_error_message_shape():
     err = PipelineStepError(5, "mixing failed")
     assert str(err) == "step 5 (mixing): mixing failed"
+
+
+@pytest.fixture
+def overlap_analysis(monkeypatch):
+    """Every prepare_conditioning past the size gate, as on a long clip."""
+    monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+
+
+def _recording(monkeypatch, name, threads, fail=None, delay=0.0):
+    """Patch pipeline.<name> to note its thread, and raise `fail` off the calling thread."""
+    caller, original = threading.get_ident(), getattr(pipeline, name)
+
+    def call(*args, **kwargs):
+        threads.append(threading.get_ident())
+        time.sleep(delay)
+        if fail is not None and threading.get_ident() != caller:
+            raise fail
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, call)
+
+
+def test_overlapped_analysis_matches_serial(overlap_analysis, monkeypatch, instrumental, bundle):
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: 2)
+    threads = []
+    _recording(monkeypatch, "compute_chromagram", threads)
+    config = RemixConfig()
+    overlapped = prepare_conditioning(StemSet(instrumental=instrumental), "test prompt", config)
+    assert threads and threads[0] != threading.get_ident()
+    assert overlapped == bundle
+
+
+def test_chromagram_error_in_the_worker_is_a_step_3_error(overlap_analysis, monkeypatch, instrumental):
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: 2)
+    failure = ValueError("chromagram failed")
+    _recording(monkeypatch, "compute_chromagram", [], fail=failure)
+    with pytest.raises(PipelineStepError) as info:
+        prepare_conditioning(StemSet(instrumental=instrumental), "p", RemixConfig())
+    assert info.value.step == 3
+    assert info.value.__cause__ is failure
+
+
+def test_grid_error_wins_over_a_worker_error(overlap_analysis, monkeypatch, instrumental):
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: 2)
+    baseline = threading.active_count()
+    grid_failure = ValueError("no grid")
+    chroma_failure = ValueError("chromagram failed")
+
+    def failing_grid(buffer, config, seed_bpm=None):
+        raise grid_failure
+
+    monkeypatch.setattr(pipeline, "estimate_grid", failing_grid)
+    # The worker fails after the grid has, so the grid's error is raised
+    # only once the worker is done.
+    threads = []
+    _recording(monkeypatch, "compute_chromagram", threads, fail=chroma_failure, delay=0.05)
+    with pytest.raises(PipelineStepError) as info:
+        prepare_conditioning(StemSet(instrumental=instrumental), "p", RemixConfig())
+    assert info.value.step == 1
+    assert info.value.__cause__ is grid_failure
+    assert threads and threads[0] != threading.get_ident()
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_analysis_stays_on_the_calling_thread(monkeypatch, instrumental, bundle, cpus):
+    # One CPU past the size gate, or a clip below it: no thread is started.
+    if cpus == 1:
+        monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timewarp, "_available_cpus", lambda: cpus)
+    threads = []
+    for name in ("estimate_grid", "compute_chromagram", "recognize_chords"):
+        _recording(monkeypatch, name, threads)
+    baseline = threading.active_count()
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    config = RemixConfig()
+    assert prepare_conditioning(StemSet(instrumental=instrumental), "test prompt", config) == bundle
+    assert len(threads) == 3 and set(threads) == {threading.get_ident()}
+    assert threading.active_count() == baseline
+
+
+def _separate_steps(gen, vocals, gen_grid, input_grid, config):
+    """The mix as warp, gains, zero-padded sum and peak_normalize, one step at a time."""
+    warped = align_to_anchors(gen, build_anchor_map(gen_grid, input_grid), config.wsola)
+    mixed = warped.samples * config.generated_gain
+    if vocals is not None:
+        mixed = np.pad(mixed, ((0, 0), (0, max(0, vocals.n_samples - warped.n_samples))))
+        mixed[:, : vocals.n_samples] += to_mono(vocals).samples * config.vocal_gain
+    return peak_normalize(AudioBuffer(mixed, SR), config.ceiling_dbfs)
+
+
+@pytest.mark.parametrize("gains", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "scaled"])
+@pytest.mark.parametrize("ceiling_dbfs", [-1.0, -30.0], ids=["ceiling", "rescaled"])
+@pytest.mark.parametrize("vocal_length", ["shorter", "as_long", "longer"])
+def test_finalize_matches_separate_steps_at_vocal_lengths(
+    instrumental, bundle, gains, ceiling_dbfs, vocal_length
+):
+    config = RemixConfig(generated_gain=gains[0], vocal_gain=gains[1], ceiling_dbfs=ceiling_dbfs)
+    gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
+    gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
+    anchors = build_anchor_map(gen_grid, bundle.beat_grid)
+    n_warp = int(round(anchors.target_duration_s * SR))
+    n_vocals = {"shorter": n_warp - 1000, "as_long": n_warp, "longer": n_warp + 1}[vocal_length]
+    tone = chord_tones([0, 4], 8.25, SR, amplitude=0.1).samples[:, :n_vocals]
+    vocals = AudioBuffer(np.repeat(tone, 2, axis=0) * np.array([[1.0], [0.5]]), SR)
+    warped = align_to_anchors(gen, anchors, config.wsola)
+    before = warped.samples.copy()
+    out = finalize_remix(gen, StemSet(instrumental, vocals), gen_grid, bundle.beat_grid, config)
+    expected = _separate_steps(gen, vocals, gen_grid, bundle.beat_grid, config)
+    assert out.n_samples == max(n_warp, n_vocals)
+    assert np.array_equal(out.samples, expected.samples)
+    assert not out.samples.flags.writeable
+    if ceiling_dbfs == -30.0:
+        assert np.abs(out.samples).max() == pytest.approx(10.0 ** (ceiling_dbfs / 20.0))
+    # The mix is built in an array of its own, not in an earlier warp's.
+    assert np.array_equal(warped.samples, before)
+    assert not np.shares_memory(out.samples, warped.samples)

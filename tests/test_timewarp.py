@@ -447,3 +447,25 @@ def test_overlap_add_in_blocks_matches_reference(monkeypatch, config, block):
     monkeypatch.setattr(timewarp, "_OLA_BLOCK", block)
     for signal in ("noise", "clicks"):
         test_stretch_matches_per_grain_reference(config, signal, 1.7)
+
+
+def test_window_built_once_per_warp(split_warp, monkeypatch):
+    # Eight stretched segments in three groups share one Hann window.
+    calls = []
+    hanning = np.hanning
+
+    def counting_hanning(m):
+        calls.append(m)
+        return hanning(m)
+
+    monkeypatch.setattr(np, "hanning", counting_hanning)
+    rng = np.random.default_rng(5)
+    ratios = [0.8, 1.2, 1.1, 0.9, 1.3, 0.7, 1.15, 0.85]
+    targets = np.cumsum([0.0] + [0.5 * r for r in ratios])
+    pairs = [(k * 0.5, t) for k, t in enumerate(targets)]
+    buffer = AudioBuffer(rng.normal(0.0, 0.3, (2, 4 * 8000 + 10)), 8000)
+    anchors = AnchorMap(tuple(pairs))
+    out = align_to_anchors(buffer, anchors)
+    assert calls == [WsolaConfig().frame_length]
+    monkeypatch.setattr(np, "hanning", hanning)
+    assert np.array_equal(out.samples, reference_align(buffer, anchors, WsolaConfig()))
