@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from chordweave.audio import read_wav, to_mono
-from chordweave.pipeline import RemixConfig, estimate_grid, read_generation_request
+from chordweave.audio import read_wav
+from chordweave.pipeline import RemixConfig, analyze_beats, read_generation_request
+from chordweave.synth import find_clicks
 
 SCRIPTS = Path(__file__).resolve().parent
 
@@ -34,19 +35,6 @@ def wait_for(port, timeout_s=10.0):
         except OSError:
             time.sleep(0.05)
     raise RuntimeError(f"stub backend did not come up on port {port}")
-
-
-def find_clicks(buffer, threshold=0.1, min_gap_s=0.05):
-    x = np.abs(np.asarray(to_mono(buffer).samples).ravel())
-    above = x > threshold
-    edges = np.flatnonzero(above & ~np.roll(above, 1))
-    times, last = [], -10**9
-    for s in edges:
-        if s - last < min_gap_s * buffer.sample_rate:
-            continue
-        times.append(s / buffer.sample_rate)
-        last = s
-    return times
 
 
 def main():
@@ -94,7 +82,7 @@ def main():
         stub.wait(timeout=10)
 
     mixed = read_wav(mix_wav)
-    grid = estimate_grid(read_wav(input_wav), RemixConfig())
+    grid = analyze_beats(read_wav(input_wav), RemixConfig())
     clicks = find_clicks(mixed)
     peak = float(np.abs(np.asarray(mixed.samples)).max())
     print(f"remix: {mix_wav} ({mixed.duration_s:.2f} s, peak {peak:.3f})")

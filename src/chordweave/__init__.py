@@ -24,7 +24,6 @@ from .chroma import ChromaMatrix, chord_to_chroma, read_matrix, render_matrix, w
 from .analysis import (
     ChromagramConfig,
     RecognitionConfig,
-    TemplateBank,
     compute_chromagram,
     melody_one_hot,
     recognize_chords,
@@ -63,7 +62,6 @@ __all__ = [
     "RecognitionConfig",
     "RemixConfig",
     "StemSet",
-    "TemplateBank",
     "TimeSignature",
     "WsolaConfig",
     "align_to_anchors",

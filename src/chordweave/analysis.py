@@ -1,9 +1,11 @@
 """Chromagrams, melody chroma, and template-based chord recognition.
 
 The recogniser is the classical pipeline: fold an STFT into pitch
-classes, score every frame against unit-norm binary chord templates by
-cosine similarity, smooth the winning labels with a median filter, and
-merge segments too short to be musically plausible.
+classes, score every frame by cosine similarity against unit-norm binary
+chord templates, smooth the winning labels with a median filter, and
+merge segments too short to be musically plausible.  Each call builds
+its templates from the configured chord qualities: chord_to_chroma
+vectors scaled to unit norm, plus a uniform no-chord row.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .chords import (
     ChordSequence,
     TimeSignature,
 )
-from .chroma import ChromaMatrix
+from .chroma import ChromaMatrix, chord_to_chroma
 
-NORMALIZATIONS = ("max", "l2", "none")
+NORMALIZATIONS = ("max", "none")
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     """Fold a Hann STFT into a (frames, 12) chroma matrix.
 
     Each in-range bin's magnitude is added to its nearest-semitone pitch
-    class; frames are then normalised per the config.  The buffer must be
+    class; with normalization "max" each frame is then scaled to a peak
+    of 1, and with "none" the sums are kept.  The buffer must be
     mono (see to_mono).  The STFT is folded block by block as it streams,
     so the full magnitude matrix is never held.
     """
@@ -82,9 +85,6 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     if config.normalization == "max":
         peaks = values.max(axis=1, keepdims=True)
         np.divide(values, peaks, out=values, where=peaks > 0)
-    elif config.normalization == "l2":
-        norms = np.linalg.norm(values, axis=1, keepdims=True)
-        np.divide(values, norms, out=values, where=norms > 0)
     return ChromaMatrix(values, buffer.sample_rate / config.hop_size)
 
 
@@ -102,51 +102,6 @@ def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = 1e-3) -> ChromaM
     winners = np.argmax(matrix.values, axis=1)
     out[voiced, winners[voiced]] = 1.0
     return ChromaMatrix(out, matrix.frame_rate_hz)
-
-
-@dataclass(frozen=True, eq=False)
-class TemplateBank:
-    """Unit-norm chroma templates with the chords they stand for.
-
-    Row order is ascending root, then quality order as given, with the
-    no-chord template (uniform, for scoring silence-ish frames) last.
-    First-maximum argmax over this order realises the documented
-    tie-break: lowest root wins, then earlier quality.
-    """
-
-    chords: tuple[Chord, ...]
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != 12:
-            raise ValueError("template vectors must be (n, 12)")
-        if vectors.shape[0] != len(self.chords):
-            raise ValueError("one vector per chord required")
-        vectors = vectors.copy()
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "chords", tuple(self.chords))
-
-    @classmethod
-    def from_qualities(cls, quality_names) -> TemplateBank:
-        chords = []
-        rows = []
-        for root in range(12):
-            for name in quality_names:
-                chord = Chord(root, QUALITIES[name])
-                vec = np.zeros(12)
-                for pc in chord.pitch_classes():
-                    vec[pc] = 1.0
-                chords.append(chord)
-                rows.append(vec / np.linalg.norm(vec))
-        chords.append(NO_CHORD)
-        rows.append(np.full(12, 1.0 / np.sqrt(12.0)))
-        return cls(tuple(chords), np.array(rows))
-
-    @property
-    def no_chord_index(self) -> int:
-        return len(self.chords) - 1
 
 
 @dataclass(frozen=True)
@@ -171,6 +126,20 @@ class RecognitionConfig:
             raise ValueError("confidence_threshold must lie in [0, 1]")
         if self.min_segment_s < 0:
             raise ValueError("min_segment_s must be >= 0")
+
+
+def _templates(quality_names) -> tuple[tuple[Chord, ...], np.ndarray]:
+    """The chords recognised, and their unit-norm chroma templates as rows.
+
+    Row order is ascending root, then quality order as given, with the
+    no-chord template (uniform, for scoring silence-ish frames) last.
+    First-maximum argmax over this order realises the documented
+    tie-break: lowest root wins, then earlier quality.
+    """
+    chords = [Chord(root, QUALITIES[name]) for root in range(12) for name in quality_names]
+    vectors = [chord_to_chroma(chord) for chord in chords]
+    rows = [v / np.linalg.norm(v) for v in vectors] + [np.full(12, 1.0 / np.sqrt(12.0))]
+    return (*chords, NO_CHORD), np.array(rows)
 
 
 def _median_filter(labels: np.ndarray, width: int) -> np.ndarray:
@@ -237,7 +206,6 @@ def _merge_short_runs(runs: list[list[int]], min_frames: int) -> list[list[int]]
 def recognize_chords(
     matrix: ChromaMatrix,
     config: RecognitionConfig | None = None,
-    bank: TemplateBank | None = None,
     bpm: float = 120.0,
     time_signature: TimeSignature = FOUR_FOUR,
 ) -> ChordSequence:
@@ -252,25 +220,25 @@ def recognize_chords(
     """
     if config is None:
         config = RecognitionConfig()
-    if bank is None:
-        bank = TemplateBank.from_qualities(config.quality_names)
+    chords, templates = _templates(config.quality_names)
+    no_chord = len(chords) - 1
     frames = matrix.values
     if frames.shape[0] == 0:
         return ChordSequence((), bpm, time_signature)
     norms = np.linalg.norm(frames, axis=1)
     voiced = norms > 0
-    scores = np.zeros((frames.shape[0], len(bank.chords)))
-    scores[voiced] = (frames[voiced] @ bank.vectors.T) / norms[voiced, None]
+    scores = np.zeros((frames.shape[0], len(chords)))
+    scores[voiced] = (frames[voiced] @ templates.T) / norms[voiced, None]
     labels = np.argmax(scores, axis=1)
     best = scores[np.arange(len(labels)), labels]
-    labels[~voiced] = bank.no_chord_index
-    labels[best < config.confidence_threshold] = bank.no_chord_index
+    labels[~voiced] = no_chord
+    labels[best < config.confidence_threshold] = no_chord
     labels = _median_filter(labels, config.median_window)
     min_frames = int(np.ceil(config.min_segment_s * matrix.frame_rate_hz))
     runs = _merge_short_runs(_segment_runs(labels), min_frames)
     rate = matrix.frame_rate_hz
     events = tuple(
-        ChordEvent(bank.chords[label], start / rate, count / rate)
+        ChordEvent(chords[label], start / rate, count / rate)
         for label, start, count in runs
     )
     return ChordSequence(events, bpm, time_signature)

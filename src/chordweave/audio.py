@@ -241,46 +241,6 @@ def write_wav(buffer: AudioBuffer, path_or_file, encoding: str = "pcm16") -> Non
         fh.write(data)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrogram:
-    """Magnitude STFT frames, shaped (frames, bins)."""
-
-    magnitudes: np.ndarray
-    sample_rate: int
-    window_size: int
-    hop_size: int
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if mags.ndim != 2:
-            raise ValueError("magnitudes must be 2-D")
-        mags = mags.copy()
-        mags.setflags(write=False)
-        object.__setattr__(self, "magnitudes", mags)
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.magnitudes.shape[1]
-
-    @property
-    def frame_rate_hz(self) -> float:
-        return self.sample_rate / self.hop_size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrogram):
-            return NotImplemented
-        return (
-            self.sample_rate == other.sample_rate
-            and self.window_size == other.window_size
-            and self.hop_size == other.hop_size
-            and np.array_equal(self.magnitudes, other.magnitudes)
-        )
-
-
 def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int, lead: int = 0):
     """The STFT frame count of a 1-D signal, and its frames' magnitudes in blocks.
 
@@ -336,13 +296,14 @@ def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int, lead: int = 0):
     return n_frames, blocks()
 
 
-def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> Spectrogram:
+def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> np.ndarray:
     """Hann-windowed magnitude STFT of a mono buffer, no padding.
 
+    Returns a read-only (frames, window_size // 2 + 1) float64 array.
     Frame count is floor((n - window) / hop) + 1; a clip shorter than one
     window yields zero frames.  Frames stream in blocks from a strided
     view of the samples: no full-size matrix of gathered or windowed
-    frames is built, only the magnitudes the result holds.
+    frames is built, only the magnitudes returned.
     """
     if buffer.n_channels != 1:
         raise ValueError("stft expects a mono buffer; call to_mono first")
@@ -350,4 +311,5 @@ def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> Spectrogram:
     mags = np.empty((n_frames, window_size // 2 + 1))
     for first, block in blocks:
         mags[first : first + len(block)] = block
-    return Spectrogram(mags, buffer.sample_rate, window_size, hop_size)
+    mags.setflags(write=False)
+    return mags

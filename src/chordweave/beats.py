@@ -248,10 +248,6 @@ class BeatGrid:
         if self.downbeats_s != self.beats_s[offset :: self.beats_per_bar]:
             raise ValueError("downbeats must be every beats_per_bar-th beat from one offset")
 
-    @property
-    def period_s(self) -> float:
-        return 60.0 / self.bpm
-
 
 def track_beats(
     envelope: OnsetEnvelope, bpm: float, beats_per_bar: int = 4

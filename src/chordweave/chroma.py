@@ -62,10 +62,6 @@ class ChromaMatrix:
     def duration_s(self) -> float:
         return self.n_frames / self.frame_rate_hz
 
-    def frame_time_s(self, index: int) -> float:
-        """Centre time of frame `index`."""
-        return (index + 0.5) / self.frame_rate_hz
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChromaMatrix):
             return NotImplemented

@@ -103,7 +103,7 @@ def _cmd_analyze_chords(args) -> int:
     audio = _load_mono(args.audio, config.sample_rate)
     bpm = args.bpm
     if bpm is None:
-        bpm = pipeline.estimate_grid(audio, config).bpm
+        bpm = pipeline.analyze_beats(audio, config).bpm
         _info(args, f"estimated tempo {bpm:.1f} BPM")
     seq = pipeline.extract_chords(audio, bpm, config)
     _info(args, f"{len(seq.events)} chord segments")
@@ -113,7 +113,7 @@ def _cmd_analyze_chords(args) -> int:
 
 def _cmd_beats(args) -> int:
     config = _config(args)
-    grid = pipeline.estimate_grid(_load_mono(args.audio, config.sample_rate), config)
+    grid = pipeline.analyze_beats(_load_mono(args.audio, config.sample_rate), config)
     _info(
         args, f"{grid.bpm:.1f} BPM, {len(grid.beats_s)} beats, {len(grid.downbeats_s)} downbeats"
     )
@@ -152,11 +152,11 @@ def _cmd_mix(args) -> int:
     if args.input_grid is not None:
         input_grid = beats.read_beat_grid(args.input_grid)
     else:
-        input_grid = pipeline.estimate_grid(stems.instrumental, config)
+        input_grid = pipeline.analyze_beats(stems.instrumental, config)
     if args.generated_grid is not None:
         generated_grid = beats.read_beat_grid(args.generated_grid)
     else:
-        generated_grid = pipeline.estimate_grid(generated, config, seed_bpm=input_grid.bpm)
+        generated_grid = pipeline.estimate_generated_grid(generated, input_grid, config)
     mixed = pipeline.finalize_remix(generated, stems, generated_grid, input_grid, config)
     _info(args, f"mixed {mixed.duration_s:.2f} s")
     write_wav(mixed, args.out, args.encoding)

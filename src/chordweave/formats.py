@@ -18,11 +18,9 @@ class FormatError(ValueError):
     """Malformed document: bad JSON, wrong format tag, or invalid payload."""
 
 
-def _checked(doc, expected_format: str | None) -> dict:
+def _object(doc) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
-    if expected_format is not None and doc.get("format") != expected_format:
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {expected_format!r}")
     return doc
 
 
@@ -32,7 +30,8 @@ def decode(doc, expected_format: str, build):
     What `build` raises on a missing, mistyped or invalid field becomes
     FormatError, but a nested decode's FormatError passes through as is.
     """
-    _checked(doc, expected_format)
+    if _object(doc).get("format") != expected_format:
+        raise FormatError(f"format tag {doc.get('format')!r}, expected {expected_format!r}")
     try:
         return build(doc)
     except FormatError:
@@ -86,15 +85,15 @@ def _reject_constant(name: str):
     raise FormatError(f"{name} is not a JSON number")
 
 
-def load_document(path: str | os.PathLike, expected_format: str | None = None) -> dict:
-    """Read a JSON object, optionally checking its "format" tag."""
+def load_document(path: str | os.PathLike) -> dict:
+    """Read a JSON object; its "format" tag is checked by decode."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
-    return _checked(doc, expected_format)
+    return _object(doc)
 
 
 def dump_document(doc: dict, path: str | os.PathLike) -> None:

@@ -15,6 +15,7 @@ import http.client
 import json
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,6 +52,19 @@ class PipelineStepError(RuntimeError):
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step} ({STEP_NAMES[step]}): {message}")
         self.step = step
+
+
+@contextmanager
+def _step(step: int):
+    """Attribute the block to pipeline step `step`.
+
+    A ValueError raised in it becomes PipelineStepError(step); a
+    PipelineStepError, which is no ValueError, passes through as it is.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise PipelineStepError(step, str(exc)) from exc
 
 
 class GenerationBackendError(RuntimeError):
@@ -190,13 +204,11 @@ def ingest_stems(
     instrumental: AudioBuffer, vocals: AudioBuffer | None, config: RemixConfig
 ) -> StemSet:
     """Bring raw stems onto the pipeline sample rate."""
-    try:
+    with _step(2):
         instrumental = resample_linear(instrumental, config.sample_rate)
         if vocals is not None:
             vocals = resample_linear(vocals, config.sample_rate)
         return StemSet(instrumental, vocals)
-    except ValueError as exc:
-        raise PipelineStepError(2, str(exc)) from exc
 
 
 def estimate_grid(
@@ -220,34 +232,28 @@ def estimate_grid(
 
 def analyze_beats(buffer: AudioBuffer, config: RemixConfig) -> BeatGrid:
     """Step 1: the input's beat grid over the configured tempo range."""
-    try:
+    with _step(1):
         return estimate_grid(buffer, config)
-    except ValueError as exc:
-        raise PipelineStepError(1, str(exc)) from exc
 
 
 def _chromagram(buffer: AudioBuffer, config: RemixConfig) -> ChromaMatrix:
     """Step 3's first half: the buffer's chromagram, of at least one frame."""
-    try:
+    with _step(3):
         chromagram = compute_chromagram(to_mono(buffer), config.chromagram)
         if chromagram.n_frames == 0:
             raise ValueError("input too short for a single chromagram frame")
         return chromagram
-    except ValueError as exc:
-        raise PipelineStepError(3, str(exc)) from exc
 
 
 def _recognize(chromagram: ChromaMatrix, bpm: float, config: RemixConfig) -> ChordSequence:
     """Step 3's second half: template matching, in a bar of beats_per_bar beats."""
-    try:
+    with _step(3):
         return recognize_chords(
             chromagram,
             config.recognition,
             bpm=bpm,
             time_signature=TimeSignature(config.beats_per_bar, 4),
         )
-    except ValueError as exc:
-        raise PipelineStepError(3, str(exc)) from exc
 
 
 def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> ChordSequence:
@@ -381,13 +387,15 @@ def request_generation(
 
 
 def estimate_generated_grid(
-    generated: AudioBuffer, req: GenerationRequest, config: RemixConfig
+    generated: AudioBuffer, tempo: GenerationRequest | BeatGrid, config: RemixConfig
 ) -> BeatGrid:
-    """Step 4: beat grid of the generated track, tempo-seeded by the request."""
-    try:
-        return estimate_grid(generated, config, seed_bpm=req.bpm)
-    except ValueError as exc:
-        raise PipelineStepError(4, str(exc)) from exc
+    """Step 4: beat grid of the generated track, its tempo search seeded by tempo.bpm.
+
+    Only `tempo.bpm` is read, so the request and the input grid serve
+    alike: build_request gives the request the input grid's tempo.
+    """
+    with _step(4):
+        return estimate_grid(generated, config, seed_bpm=tempo.bpm)
 
 
 def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuffer:
@@ -428,14 +436,12 @@ def finalize_remix(
     """
     if config is None:
         config = RemixConfig()
-    if generated.n_samples == 0:
-        raise PipelineStepError(4, "generated audio is empty")
-    try:
+    with _step(4):
+        if generated.n_samples == 0:
+            raise ValueError("generated audio is empty")
         anchors = build_anchor_map(generated_grid, input_grid)
         warped = timewarp._aligned_samples(generated, anchors, config.wsola)
-    except ValueError as exc:
-        raise PipelineStepError(4, str(exc)) from exc
-    try:
+    with _step(5):
         rate = stems.instrumental.sample_rate
         # The warp's output is a fresh array (and so is a resampled one),
         # so the mix is built in it unless the vocals run longer.
@@ -458,8 +464,6 @@ def finalize_remix(
         if gain is not None:
             mixed *= gain
         return AudioBuffer._adopt(mixed, rate)
-    except ValueError as exc:
-        raise PipelineStepError(5, str(exc)) from exc
 
 
 def run_remix(

@@ -2,13 +2,14 @@
 
 These generators exist so analysis code can be exercised against inputs
 with known ground truth; nothing here is meant to sound good.
+find_clicks reads a click track's onsets back out of audio.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, to_mono
 
 
 def silence(duration_s: float, sample_rate: int = 44100) -> AudioBuffer:
@@ -86,6 +87,27 @@ def click_track(
     if peak > 1.0:
         x /= peak
     return AudioBuffer(x, sample_rate)
+
+
+def find_clicks(
+    buffer: AudioBuffer, threshold: float = 0.1, min_gap_s: float = 0.05
+) -> list[float]:
+    """Onset times, in seconds, of the clicks in a buffer's channel mean.
+
+    A click starts at a sample whose magnitude exceeds `threshold` while
+    the sample before it (for sample 0, the last sample) does not; a
+    start less than `min_gap_s` after the last click kept is skipped.
+    """
+    x = np.abs(to_mono(buffer).samples[0])
+    above = x > threshold
+    edges = np.flatnonzero(above & ~np.roll(above, 1))
+    times, last = [], -(10**9)
+    for s in edges:
+        if s - last < min_gap_s * buffer.sample_rate:
+            continue
+        times.append(s / buffer.sample_rate)
+        last = s
+    return times
 
 
 def concat(buffers) -> AudioBuffer:

@@ -1,11 +1,11 @@
 """Time-scale modification by waveform-similarity overlap-add.
 
 Stretching shifts durations without shifting pitch: Hann-windowed grains
-are laid down at a fixed synthesis hop while their analysis positions
-slide through the input at the stretch ratio, each nudged within a
-search tolerance to best continue the previous grain.  Anchor maps apply
-a different ratio per segment so specific instants (downbeats) land
-exactly where asked.
+are laid down half a grain apart (the synthesis hop is not an option)
+while their analysis positions slide through the input at the stretch
+ratio, each nudged within a search tolerance to best continue the
+previous grain.  Anchor maps apply a different ratio per segment so
+specific instants (downbeats) land exactly where asked.
 
 The offset search scores each candidate grain by its correlation with
 the continuation of the previous one and takes the best, but a score
@@ -60,23 +60,21 @@ _OLA_BLOCK = 512
 
 @dataclass(frozen=True)
 class WsolaConfig:
-    """Grain length, synthesis hop (defaults to half a grain), and search range."""
+    """Grain length and search range; grains are laid half a grain apart."""
 
     frame_length: int = 1024
-    synthesis_hop: int | None = None
     search_tolerance: int = 512
 
     def __post_init__(self):
         if self.frame_length < 4 or self.frame_length % 2:
             raise ValueError("frame_length must be an even integer >= 4")
-        if self.synthesis_hop is not None and not 0 < self.synthesis_hop <= self.frame_length:
-            raise ValueError("synthesis_hop must lie in 1..frame_length")
         if self.search_tolerance < 0:
             raise ValueError("search_tolerance must be >= 0")
 
     @property
     def hop(self) -> int:
-        return self.frame_length // 2 if self.synthesis_hop is None else self.synthesis_hop
+        """The synthesis hop: half a grain."""
+        return self.frame_length // 2
 
 
 def _rows(x: np.ndarray, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -152,42 +150,39 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
 
 
 def _overlap_add(
-    x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: WsolaConfig, window_rows: np.ndarray
+    x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: WsolaConfig, halves: np.ndarray
 ):
     """Overlap-add the Hann-windowed grains x[:, s : s + grain] for s in starts into out.
 
-    Grain k lands at k * hop; the sum is divided by the summed window
-    where that exceeds 1e-8, and its first out.shape[1] samples are
-    written.  Every start must leave a whole grain inside x.
-    `window_rows` is the Hann window zero-padded to rows of one hop.
+    Grain k lands at k * hop, half a grain apart; the sum is divided by
+    the summed window where that exceeds 1e-8, and its first
+    out.shape[1] samples are written.  Every start must leave a whole
+    grain inside x.  `halves` is the Hann window as two rows of one hop.
 
-    The sum is laid out as rows of one hop each: a grain zero-padded to
-    m = ceil(grain / hop) rows adds its row j to output row k + j.
-    Adding row m - 1 of every grain, then row m - 2 and so on down to 0
-    gives each output sample its addends in the order of a loop over
-    grains (row j of grain k comes before row j - 1 of grain k + 1), so
-    the result is bit-identical to that loop; adding a padding zero
-    changes no sum.
+    The sum is laid out as rows of one hop each: grain k adds its first
+    half to output row k and its second half to row k + 1.  No output
+    sample has more than those two addends, and a sum of two is the same
+    in either order, so the result is bit-identical to a loop over grains.
     """
     grain, hop = config.frame_length, config.hop
-    n_grains, rows = len(starts), len(window_rows)
-    window = window_rows.reshape(-1)[:grain]
-    weight = np.zeros((n_grains + rows - 1, hop))
-    for j in reversed(range(rows)):
-        weight[j : j + n_grains] += window_rows[j]
+    n_grains = len(starts)
+    window = halves.reshape(-1)
+    weight = np.zeros((n_grains + 1, hop))
+    weight[:-1] += halves[0]
+    weight[1:] += halves[1]
     weight = weight.reshape(-1)[: out.shape[1]]
     divide = weight > 1e-8
-    padded = np.zeros((min(n_grains, _OLA_BLOCK), rows * hop))
+    windowed = np.empty((min(n_grains, _OLA_BLOCK), grain))
     for ch, dest in zip(x, out):
         grains = np.lib.stride_tricks.sliding_window_view(ch, grain)
-        total = np.zeros((n_grains + rows - 1, hop))
+        total = np.zeros((n_grains + 1, hop))
         for first in range(0, n_grains, _OLA_BLOCK):
             block = starts[first : first + _OLA_BLOCK]
-            chunks = padded[: len(block)]
-            np.multiply(grains[block], window, out=chunks[:, :grain])
-            chunks = chunks.reshape(len(block), rows, hop)
-            for j in reversed(range(rows)):
-                total[first + j : first + j + len(block)] += chunks[:, j]
+            chunks = windowed[: len(block)]
+            np.multiply(grains[block], window, out=chunks)
+            chunks = chunks.reshape(len(block), 2, hop)
+            total[first : first + len(block)] += chunks[:, 0]
+            total[first + 1 : first + 1 + len(block)] += chunks[:, 1]
         dest[:] = total.reshape(-1)[: len(dest)]
         np.divide(dest, weight, out=dest, where=divide)
 
@@ -259,14 +254,13 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.nd
         return out
     mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
     grain, hop = config.frame_length, config.hop
-    rows = -(-grain // hop)
-    window_rows = np.pad(np.hanning(grain), (0, rows * hop - grain)).reshape(rows, hop)
+    halves = np.hanning(grain).reshape(2, hop)
 
     def stretch(group):
         group_spans = [spans[i] for i in group]
         for i, starts in zip(group, _search_offsets(mono, group_spans, config)):
             lo, n, _ = spans[i]
-            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, window_rows)
+            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, halves)
 
     workers = 1
     if out.shape[1] >= PARALLEL_MIN_SAMPLES:

@@ -52,4 +52,6 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/generate", state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive(), "the stub server's thread did not stop"

@@ -4,14 +4,14 @@ import pytest
 from chordweave.analysis import (
     ChromagramConfig,
     RecognitionConfig,
-    TemplateBank,
+    _templates,
     compute_chromagram,
     melody_one_hot,
     recognize_chords,
 )
 from chordweave.audio import AudioBuffer, to_mono
-from chordweave.chords import parse_progression
-from chordweave.chroma import ChromaMatrix, render_matrix
+from chordweave.chords import NO_CHORD, QUALITIES, Chord, parse_progression
+from chordweave.chroma import ChromaMatrix, chord_to_chroma, render_matrix
 from chordweave.synth import chord_tones, concat, silence, sine
 
 
@@ -46,6 +46,8 @@ def test_chromagram_config_validation():
     with pytest.raises(ValueError):
         ChromagramConfig(normalization="softmax")
     with pytest.raises(ValueError):
+        ChromagramConfig(normalization="l2")
+    with pytest.raises(ValueError):
         ChromagramConfig(fmin_hz=2000.0, fmax_hz=100.0)
 
 
@@ -72,10 +74,13 @@ def test_melody_one_hot_silence_floor():
 
 
 def test_template_bank_layout():
-    bank = TemplateBank.from_qualities(("maj", "min"))
-    assert len(bank.chords) == 25
-    assert bank.no_chord_index == 24
-    norms = np.linalg.norm(np.asarray(bank.vectors), axis=1)
+    chords, vectors = _templates(("maj", "min"))
+    assert len(chords) == 25 and vectors.shape == (25, 12)
+    maj, minor = QUALITIES["maj"], QUALITIES["min"]
+    assert chords[:3] == (Chord(0, maj), Chord(0, minor), Chord(1, maj))
+    assert chords[-1] == NO_CHORD
+    assert np.array_equal(vectors[2] > 0, chord_to_chroma(chords[2]) > 0)
+    norms = np.linalg.norm(vectors, axis=1)
     assert np.allclose(norms, 1.0)
 
 

@@ -186,21 +186,22 @@ def test_resample_length():
 def test_resample_preserves_tone():
     buf = sine(440.0, 0.5, 22050)
     up = resample_linear(buf, 44100)
-    spec = stft(to_mono(up), 4096, 1024)
-    peak_bin = int(np.argmax(np.asarray(spec.magnitudes).mean(axis=0)))
+    mags = stft(to_mono(up), 4096, 1024)
+    peak_bin = int(np.argmax(mags.mean(axis=0)))
     assert peak_bin == round(440.0 * 4096 / 44100)
 
 
 def test_stft_frame_count():
     buf = AudioBuffer(np.zeros(10000), 8000)
-    spec = stft(buf, 1024, 512)
-    assert spec.magnitudes.shape == ((10000 - 1024) // 512 + 1, 513)
-    assert spec.frame_rate_hz == pytest.approx(8000 / 512)
+    mags = stft(buf, 1024, 512)
+    assert mags.shape == ((10000 - 1024) // 512 + 1, 513)
+    assert mags.dtype == np.float64
+    with pytest.raises(ValueError):
+        mags[0, 0] = 1.0
 
 
 def test_stft_short_input_gives_no_frames():
-    spec = stft(AudioBuffer(np.zeros(100), 8000), 1024, 512)
-    assert spec.magnitudes.shape[0] == 0
+    assert stft(AudioBuffer(np.zeros(100), 8000), 1024, 512).shape == (0, 513)
 
 
 def test_stft_requires_mono():
@@ -215,9 +216,8 @@ def test_stft_requires_power_of_two_window():
 
 def test_stft_locates_tone():
     buf = sine(440.0, 1.0, 44100)
-    spec = stft(buf, 4096, 1024)
-    peak_bin = int(np.argmax(np.asarray(spec.magnitudes).mean(axis=0)))
-    assert peak_bin == round(440.0 / (spec.sample_rate / spec.window_size))
+    peak_bin = int(np.argmax(stft(buf, 4096, 1024).mean(axis=0)))
+    assert peak_bin == round(440.0 * 4096 / 44100)
 
 
 @given(
@@ -335,9 +335,6 @@ def _gather_chromagram(x, rate, config):
     if config.normalization == "max":
         peaks = values.max(axis=1, keepdims=True)
         np.divide(values, peaks, out=values, where=peaks > 0)
-    elif config.normalization == "l2":
-        norms = np.linalg.norm(values, axis=1, keepdims=True)
-        np.divide(values, norms, out=values, where=norms > 0)
     return values
 
 
@@ -362,8 +359,8 @@ def _framed_signal(draw):
 @given(_framed_signal())
 def test_stft_matches_gather_reference(case):
     x, window, hop = case
-    spec = stft(AudioBuffer(x, 8000), window, hop)
-    assert np.array_equal(spec.magnitudes, _gather_stft(x, window, hop))
+    mags = stft(AudioBuffer(x, 8000), window, hop)
+    assert np.array_equal(mags, _gather_stft(x, window, hop))
 
 
 @given(_framed_signal())
@@ -380,7 +377,7 @@ def _noise_frames(window, hop, frames):
     return np.random.default_rng(frames).standard_normal(window + (frames - 1) * hop), window, hop
 
 
-@given(_framed_signal(), st.sampled_from(["max", "l2", "none"]))
+@given(_framed_signal(), st.sampled_from(["max", "none"]))
 # A last frame past a whole block, and blocks capped at one frame by
 # their 2**18-sample size: a one-row block would fold in another order.
 @example(_noise_frames(4096, 2048, 65), "none")

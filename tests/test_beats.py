@@ -18,9 +18,20 @@ from chordweave.beats import (
 )
 from chordweave.formats import FormatError
 from chordweave.pipeline import RemixConfig, estimate_grid
-from chordweave.synth import click_track, concat, silence
+from chordweave.synth import click_track, concat, find_clicks, silence
 
 SR = 44100
+
+
+def test_find_clicks_reads_back_a_click_track():
+    # Each 3 ms burst starts at a zero sample and crosses the threshold
+    # several times; only its first crossing counts.
+    clicks = click_track(120.0, 2.0, 8000, start_s=0.1)
+    expected = [(800 + 4000 * k + 1) / 8000 for k in range(4)]
+    assert find_clicks(clicks) == expected
+    stereo = AudioBuffer(np.vstack([clicks.samples, clicks.samples]), 8000)
+    assert find_clicks(stereo) == expected
+    assert find_clicks(clicks, threshold=0.5) == []
 
 
 def test_envelope_first_frame_is_zero():

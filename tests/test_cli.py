@@ -30,6 +30,14 @@ def input_wav(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def short_wav(tmp_path_factory):
+    """A 2 s click track: too short for a tempo estimate."""
+    path = tmp_path_factory.mktemp("cli") / "short.wav"
+    write_wav(click_track(126.0, 2.0, SR, accent_every=4), path)
+    return path
+
+
 def test_parse_writes_two_events(tmp_path):
     out = tmp_path / "chords.json"
     code = run(["parse", "C:maj G:maj", "--bpm", "120", "--out", str(out)])
@@ -211,6 +219,31 @@ def test_mix_full_path(input_wav, tmp_path):
     mixed = read_wav(out)
     ceiling = 10.0 ** (-1.0 / 20.0)
     assert np.abs(np.asarray(mixed.samples)).max() <= ceiling + 1e-4
+
+
+@pytest.mark.parametrize("command", ["beats", "analyze-chords"])
+def test_stage_command_names_structure_analysis(command, short_wav, capsys):
+    assert run([command, str(short_wav)]) == 1
+    err = capsys.readouterr().err
+    assert "chordweave: error: step 1 (structure analysis): envelope covers 2.00 s" in err
+
+
+def test_mix_names_timing_alignment(input_wav, short_wav, tmp_path, capsys):
+    out = tmp_path / "mix.wav"
+    assert run(["mix", str(short_wav), "--input", str(input_wav), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "chordweave: error: step 4 (timing alignment): envelope covers 2.00 s" in err
+    assert not out.exists()
+
+
+def test_package_exports_are_exactly_all():
+    assert len(set(chordweave.__all__)) == len(chordweave.__all__)
+    for name in chordweave.__all__:
+        assert getattr(chordweave, name) is not None, name
+    namespace = {}
+    exec("from chordweave import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(chordweave.__all__)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -21,7 +21,7 @@ def test_round_trip(tmp_path):
     doc = {"format": "chord-seq/v1", "bpm": 120.0, "events": []}
     path = tmp_path / "doc.json"
     dump_document(doc, path)
-    assert load_document(path, "chord-seq/v1") == doc
+    assert decode(load_document(path), "chord-seq/v1", dict) == doc
 
 
 def test_dump_ends_with_newline(tmp_path):
@@ -41,14 +41,14 @@ def test_format_tag_mismatch(tmp_path):
     path = tmp_path / "doc.json"
     dump_document({"format": "a/v1"}, path)
     with pytest.raises(FormatError):
-        load_document(path, "b/v1")
+        decode(load_document(path), "b/v1", dict)
 
 
 def test_missing_format_tag(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"bpm": 1}))
     with pytest.raises(FormatError):
-        load_document(path, "a/v1")
+        decode(load_document(path), "a/v1", dict)
 
 
 def test_top_level_must_be_object(tmp_path):

@@ -104,8 +104,7 @@ def reference_align(buffer, anchors, config):
 
 
 def dominant_bin(buffer):
-    spec = stft(to_mono(buffer), 4096, 1024)
-    return int(np.argmax(np.asarray(spec.magnitudes).mean(axis=0)))
+    return int(np.argmax(stft(to_mono(buffer), 4096, 1024).mean(axis=0)))
 
 
 def uniform_grid(bpm, n_beats, beats_per_bar=4, offset=0):
@@ -153,7 +152,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WsolaConfig(frame_length=2)
     assert WsolaConfig(frame_length=2048).hop == 1024
-    assert WsolaConfig(synthesis_hop=256).hop == 256
 
 
 def test_anchor_map_validation():
@@ -367,7 +365,8 @@ STRETCH_CONFIGS = pytest.mark.parametrize(
     "config",
     [
         WsolaConfig(frame_length=256, search_tolerance=100),
-        WsolaConfig(frame_length=256, synthesis_hop=96, search_tolerance=64),
+        # A 96-sample hop on a grain that is not a power of two long.
+        WsolaConfig(frame_length=192, search_tolerance=64),
         WsolaConfig(frame_length=256, search_tolerance=0),
     ],
     ids=["half-hop", "short-hop", "no-search"],
