@@ -4,12 +4,18 @@ Every on-disk document is a JSON object with a "format" tag such as
 "chord-seq/v1"; readers check the tag before touching anything else so a
 wrong or future version fails loudly instead of half-parsing.  NaN and
 Infinity are not JSON: they are never written, and never read.
+
+Documents are written exactly as ``json.dumps(doc, indent=2)`` writes
+them, but a list of floats, such as one frame of a chroma matrix, is
+encoded in one string operation rather than number by number, and the
+text is streamed to the file one row or container header at a time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,13 +102,80 @@ def load_document(path: str | os.PathLike) -> dict:
     return _object(doc)
 
 
+# Scalars other than strings, on json's own C encoder.
+_SCALARS = json.JSONEncoder(allow_nan=False)
+
+
+def _key(key) -> str:
+    """An object key as json writes it: non-str scalars are quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_SCALARS.encode(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float_row(values, inner: str) -> str | None:
+    """The items of a list of finite floats joined as json writes them, else None.
+
+    float.__repr__ is what json writes a float with, a subclass such as
+    np.float64 included; it raises TypeError on anything else.  Every
+    non-finite repr ("nan", "inf", "-inf") holds an "n" and no finite one does.
+    """
+    try:
+        text = (",\n" + inner).join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    return None if "n" in text else text
+
+
+def _chunks(value, indent: str):
+    """The text of json.dumps(value, indent=2, allow_nan=False), in pieces.
+
+    `indent` is the indentation of the line `value` starts on.  A list of
+    finite floats is one piece; any other container yields its header and
+    each item's pieces in turn, and a list holding a non-finite float takes
+    that path too, so json's encoder raises ValueError on it.
+    """
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        row = _float_row(value, inner)
+        if row is not None:
+            yield f"[\n{inner}{row}\n{indent}]"
+            return
+        separator = "[\n" + inner
+        for item in value:
+            yield separator
+            yield from _chunks(item, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            yield separator + _key(key) + ": "
+            yield from _chunks(item, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "}"
+    else:
+        yield _SCALARS.encode(value)
+
+
 def dump_document(doc: dict, path: str | os.PathLike) -> None:
-    """Write a document as deterministic, human-diffable JSON."""
+    """Write a document as deterministic, human-diffable JSON, streamed."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.writelines(_chunks(doc, ""))
         fh.write("\n")
 
 
 def dumps_document(doc: dict) -> str:
     """The exact text dump_document would write, as a string."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return "".join(_chunks(doc, "")) + "\n"

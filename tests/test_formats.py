@@ -1,19 +1,41 @@
 import copy
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chordweave.beats import BeatGrid, beat_grid_from_dict, beat_grid_to_dict
-from chordweave.chords import chord_sequence_from_dict, chord_sequence_to_dict, parse_progression
-from chordweave.chroma import chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
-from chordweave.formats import FormatError, decode, dump_document, dumps_document, load_document
+from chordweave import cli
+from chordweave.beats import BeatGrid, beat_grid_from_dict, beat_grid_to_dict, write_beat_grid
+from chordweave.chords import (
+    chord_sequence_from_dict,
+    chord_sequence_to_dict,
+    parse_progression,
+    write_chord_sequence,
+)
+from chordweave.chroma import (
+    ChromaMatrix,
+    chroma_matrix_from_dict,
+    chroma_matrix_to_dict,
+    render_matrix,
+    write_matrix,
+)
+from chordweave.formats import (
+    FormatError,
+    _chunks,
+    decode,
+    dump_document,
+    dumps_document,
+    load_document,
+)
 from chordweave.pipeline import (
     GenerationRequest,
     generation_request_from_dict,
     generation_request_to_dict,
+    write_generation_request,
 )
 
 
@@ -278,3 +300,157 @@ def test_mutated_documents_decode_valid_or_raise_format_error(case):
     assert type(decoded) is type(obj)
     # What decodes writes back: it holds no value JSON cannot carry.
     dumps_document(to_dict(decoded))
+
+
+# The writer against the standard library: documents are written exactly
+# as json.dumps(doc, indent=2, allow_nan=False) writes them.
+
+
+def _stdlib(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_same_text(actual: str, expected: str) -> None:
+    """Equal texts; a mismatch is shown where they part, not as a diff of megabytes."""
+    if actual != expected:
+        at = next((i for i, pair in enumerate(zip(actual, expected)) if pair[0] != pair[1]),
+                  min(len(actual), len(expected)))
+        pytest.fail(f"texts part at offset {at}: {actual[at - 40:at + 40]!r} "
+                    f"!= {expected[at - 40:at + 40]!r}", pytrace=False)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 0.1]
+)
+_FLOAT_ROWS = st.lists(_FINITE | _FINITE.map(np.float64), max_size=16)
+_STRINGS = st.text(max_size=8) | st.sampled_from(["é", "\x00\x1f", "\u2028", "\U0001f3b9", '"\\/'])
+_SCALAR_VALUES = st.none() | st.booleans() | st.integers() | _FINITE | _STRINGS
+_MIXED_ROWS = st.lists(_FINITE | _SCALAR_VALUES, max_size=8)
+_KEYS = _STRINGS | st.integers() | _FINITE | st.booleans() | st.none()
+_TREES = st.recursive(
+    _SCALAR_VALUES | _FLOAT_ROWS | _MIXED_ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(_KEYS, _TREES, max_size=4))
+@example({})
+@example({"rows": [[], [[]], {}, ()]})
+@example({"row": [-0.0, 5e-324, 1e16, 0.1, np.float64(0.1)], "nested": [[0.5], [[1.5, 2.5]]]})
+@example({"mixed": [0.5, 1, True, None, "s"], "tuple": (0.5, 1.5)})
+@example({"equal rows": [[0.0], [-0.0], [1.0], [1], [True]]})
+@example({"é\x00": "\u2028", 1: 2, 1.5: 3, True: 4, None: 5})
+def test_documents_written_as_json_writes_them(tmp_path, doc):
+    expected = _stdlib(doc)
+    _assert_same_text(dumps_document(doc), expected)
+    path = tmp_path / "doc.json"
+    dump_document(doc, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+_NON_FINITE_PLACES = {
+    "top-level": lambda bad: {"x": bad},
+    "float-row": lambda bad: {"x": [0.5, bad, 1.5]},
+    "mixed-row": lambda bad: {"x": [1, bad, "s"]},
+    "two-deep": lambda bad: {"x": {"y": [[0.5, bad]]}},
+    "key": lambda bad: {bad: 0.5},
+}
+
+
+@pytest.mark.parametrize("place", sorted(_NON_FINITE_PLACES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_anywhere_raises_value_error(tmp_path, place, bad):
+    doc = _NON_FINITE_PLACES[place](bad)
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        dumps_document(doc)
+    with pytest.raises(ValueError):
+        dump_document(doc, tmp_path / "doc.json")
+
+
+@pytest.mark.parametrize("key", [(1,), frozenset(), b"k"], ids=["tuple", "frozenset", "bytes"])
+def test_unencodable_key_raises_type_error(key):
+    with pytest.raises(TypeError):
+        json.dumps({key: 1}, indent=2)
+    with pytest.raises(TypeError):
+        dumps_document({key: 1})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, np.int64(3), [np.int64(3)], np.zeros(2)],
+    ids=["set", "int64", "int64-row", "ndarray"],
+)
+def test_unencodable_value_raises_type_error(value):
+    with pytest.raises(TypeError):
+        json.dumps({"x": value}, indent=2)
+    with pytest.raises(TypeError):
+        dumps_document({"x": value})
+
+
+# 240 s at 50 Hz: the size of a real-length request.
+_LONG_SEQ = parse_progression(" ".join(["C:maj G:7/B,A:min7 N", "F:maj7 D:min/F,E:7"] * 24), bpm=120)
+_LONG_MATRIX = render_matrix(_LONG_SEQ, 50.0)
+_LONG_REQUEST = GenerationRequest("laid-back jazz trio", 120.0, _LONG_SEQ.duration_s, _LONG_MATRIX)
+
+
+def test_request_written_row_by_row():
+    assert _LONG_MATRIX.n_frames == 12_000
+    doc = generation_request_to_dict(_LONG_REQUEST)
+    pieces = list(_chunks(doc, ""))
+    # A row as it sits in the document, three levels deep: 6 more spaces on each line after its first.
+    rows = doc["chroma"]["data"]
+    longest_row = max(len(json.dumps(row, indent=2).replace("\n", "\n" + " " * 6)) for row in rows)
+    assert max(map(len, pieces)) <= longest_row
+    # One piece per row and one per separator, not one per number.
+    assert _LONG_MATRIX.n_frames < len(pieces) < 3 * _LONG_MATRIX.n_frames
+    _assert_same_text("".join(pieces) + "\n", _stdlib(doc))
+
+
+_RNG = np.random.default_rng(11)
+_LONG_WRITERS = {
+    "genreq": (write_generation_request, generation_request_to_dict, _LONG_REQUEST),
+    "chroma-matrix": (
+        write_matrix,
+        chroma_matrix_to_dict,
+        ChromaMatrix(_RNG.random((12_000, 12)) * np.array([0.0, 1e-300, 1e16] + [1.0] * 9), 50.0),
+    ),
+    "chord-seq": (write_chord_sequence, chord_sequence_to_dict, _LONG_SEQ),
+    "beat-grid": (
+        write_beat_grid,
+        beat_grid_to_dict,
+        BeatGrid(tuple(np.arange(480) * 0.5 + 0.013), tuple(np.arange(120) * 2.0 + 0.013), 120.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LONG_WRITERS))
+def test_long_document_writers_match_json(tmp_path, kind):
+    write, to_dict, obj = _LONG_WRITERS[kind]
+    path = tmp_path / "doc.json"
+    write(obj, path)
+    text = path.read_bytes().decode("ascii")
+    _assert_same_text(text, _stdlib(to_dict(obj)))
+
+
+def test_cli_stdout_matches_json(capsys):
+    doc = chroma_matrix_to_dict(_LONG_MATRIX)
+    cli._emit_json(doc, None)
+    _assert_same_text(capsys.readouterr().out, _stdlib(doc))
+
+
+def test_request_file_write_never_holds_the_whole_text(tmp_path):
+    doc = generation_request_to_dict(_LONG_REQUEST)
+    size = len(dumps_document(doc))
+    tracemalloc.start()
+    try:
+        dump_document(doc, tmp_path / "request.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 20
