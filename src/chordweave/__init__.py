@@ -7,7 +7,7 @@ preserved vocal stem.  The generation model itself lives behind an HTTP
 endpoint; everything here runs locally and deterministically.
 """
 
-from .audio import AudioBuffer, read_wav, resample_linear, stft, to_mono, write_wav
+from .audio import AudioBuffer, read_wav, resample_linear, to_mono, write_wav
 from .beats import BeatGrid, NoTempoError, estimate_bpm, onset_envelope, track_beats
 from .chords import (
     Chord,
@@ -84,7 +84,6 @@ __all__ = [
     "request_generation",
     "resample_linear",
     "run_remix",
-    "stft",
     "to_mono",
     "track_beats",
     "write_matrix",

@@ -294,22 +294,3 @@ def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int, lead: int = 0):
             start = stop
 
     return n_frames, blocks()
-
-
-def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> np.ndarray:
-    """Hann-windowed magnitude STFT of a mono buffer, no padding.
-
-    Returns a read-only (frames, window_size // 2 + 1) float64 array.
-    Frame count is floor((n - window) / hop) + 1; a clip shorter than one
-    window yields zero frames.  Frames stream in blocks from a strided
-    view of the samples: no full-size matrix of gathered or windowed
-    frames is built, only the magnitudes returned.
-    """
-    if buffer.n_channels != 1:
-        raise ValueError("stft expects a mono buffer; call to_mono first")
-    n_frames, blocks = _stft_blocks(buffer.samples[0], window_size, hop_size)
-    mags = np.empty((n_frames, window_size // 2 + 1))
-    for first, block in blocks:
-        mags[first : first + len(block)] = block
-    mags.setflags(write=False)
-    return mags

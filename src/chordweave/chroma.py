@@ -97,12 +97,31 @@ def render_matrix(
 CHROMA_MATRIX_FORMAT = "chroma-matrix/v1"
 
 
+def _runs(values: np.ndarray) -> tuple[list[list[float]], list[int]]:
+    """The first row of each run of bit-identical rows, and each row's run index.
+
+    Rows are compared as bits, so a row holding -0.0 differs from one
+    holding 0.0 there, as their text does.
+    """
+    bits = values.view(np.uint64)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    return values[first].tolist(), (np.cumsum(first) - 1).tolist()
+
+
 def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
+    """The chroma-matrix/v1 document of a matrix.
+
+    The rows of each run of identical frames in "data" are one shared
+    list object, which the document writer encodes once, so treat the
+    dict as read-only: changing one frame's row changes its whole run.
+    """
+    rows, run = _runs(matrix.values)
     return {
         "format": CHROMA_MATRIX_FORMAT,
         "frame_rate_hz": float(matrix.frame_rate_hz),
         "frames": matrix.n_frames,
-        "data": matrix.values.tolist(),
+        "data": list(map(rows.__getitem__, run)),
     }
 
 
@@ -125,8 +144,12 @@ def read_matrix(path) -> ChromaMatrix:
 
 
 def write_matrix_csv(matrix: ChromaMatrix, path) -> None:
-    """CSV export: header row of bin labels, then one row per frame."""
+    """CSV export: header row of bin labels, then one row per frame.
+
+    Each run of identical frames has its line made once.
+    """
+    rows, run = _runs(matrix.values)
+    lines = [",".join(map(float.__repr__, row)) + "\n" for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_BIN_LABELS) + "\n")
-        for row in matrix.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(map(lines.__getitem__, run))

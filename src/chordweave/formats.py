@@ -9,12 +9,16 @@ Documents are written exactly as ``json.dumps(doc, indent=2)`` writes
 them, but a list of floats, such as one frame of a chroma matrix, is
 encoded in one string operation rather than number by number, and the
 text is streamed to the file one row or container header at a time.
+Consecutive items of a list that are one and the same list object, as
+the frames of a chord are in ``chroma.chroma_matrix_to_dict``, are
+encoded once and their text written again.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -75,15 +79,21 @@ def as_integer(value) -> int:
 def as_numbers(values) -> np.ndarray:
     """A JSON array of numbers, nested to any depth, as a float64 array.
 
-    The element types are checked by NumPy's own type inference, with no
-    Python loop over the elements: a string, null, a nested object or an
-    integer too large for a float gives a non-numeric dtype and is
-    refused, as is an array of booleans alone.  A boolean among numbers
-    is inferred as a number and reads as 0 or 1.
+    The element types are checked with no Python loop over the elements.
+    NumPy's own type inference refuses a string, null, a nested object, an
+    integer too large for a float and an array of booleans alone: each
+    gives a non-numeric dtype.  A boolean among numbers, which NumPy
+    would read as 0 or 1, is found in the set of the elements' types.
     """
     array = np.array(values)
     if array.dtype.kind not in "iuf":
         raise TypeError(f"expected an array of numbers, got elements of dtype {array.dtype}")
+    if array.ndim:
+        elements = values
+        for _ in range(array.ndim - 1):
+            elements = chain.from_iterable(elements)
+        if bool in set(map(type, elements)):
+            raise TypeError("expected an array of numbers, got a boolean among them")
     return array.astype(np.float64, copy=False)
 
 
@@ -115,18 +125,21 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _float_row(values, inner: str) -> str | None:
-    """The items of a list of finite floats joined as json writes them, else None.
+def _float_row(value, indent: str) -> str | None:
+    """The text of `value` if it is a non-empty list of finite floats, else None.
 
     float.__repr__ is what json writes a float with, a subclass such as
     np.float64 included; it raises TypeError on anything else.  Every
     non-finite repr ("nan", "inf", "-inf") holds an "n" and no finite one does.
     """
+    if not isinstance(value, (list, tuple)) or not value:
+        return None
+    inner = indent + "  "
     try:
-        text = (",\n" + inner).join(map(float.__repr__, values))
+        text = (",\n" + inner).join(map(float.__repr__, value))
     except TypeError:
         return None
-    return None if "n" in text else text
+    return None if "n" in text else f"[\n{inner}{text}\n{indent}]"
 
 
 def _chunks(value, indent: str):
@@ -135,7 +148,8 @@ def _chunks(value, indent: str):
     `indent` is the indentation of the line `value` starts on.  A list of
     finite floats is one piece; any other container yields its header and
     each item's pieces in turn, and a list holding a non-finite float takes
-    that path too, so json's encoder raises ValueError on it.
+    that path too, so json's encoder raises ValueError on it.  A float row
+    that is the same object as the item before it is not encoded again.
     """
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
@@ -143,15 +157,21 @@ def _chunks(value, indent: str):
         if not value:
             yield "[]"
             return
-        inner = indent + "  "
-        row = _float_row(value, inner)
+        row = _float_row(value, indent)
         if row is not None:
-            yield f"[\n{inner}{row}\n{indent}]"
+            yield row
             return
+        inner = indent + "  "
         separator = "[\n" + inner
+        last = row = None
         for item in value:
             yield separator
-            yield from _chunks(item, inner)
+            if item is not last:
+                last, row = item, _float_row(item, inner)
+            if row is None:
+                yield from _chunks(item, inner)
+            else:
+                yield row
             separator = ",\n" + inner
         yield "\n" + indent + "]"
     elif isinstance(value, dict):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chordweave.analysis import compute_chromagram, recognize_chords
-from chordweave.audio import encode_wav, stft, to_mono
+from chordweave.audio import encode_wav, to_mono
 from chordweave.beats import (
     BeatGrid,
     beat_grid_to_dict,
@@ -43,6 +43,8 @@ from chordweave.pipeline import (
 )
 from chordweave.synth import chord_tones, click_track, concat, find_clicks, mix, silence, sine
 from chordweave.timewarp import AnchorMap, WsolaConfig, align_to_anchors, wsola_stretch
+
+from test_audio import stft
 
 SR = 44100
 

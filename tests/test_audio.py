@@ -16,12 +16,29 @@ from chordweave.audio import (
     encode_wav,
     read_wav,
     resample_linear,
-    stft,
     to_mono,
     write_wav,
 )
 from chordweave.beats import onset_envelope
 from chordweave.synth import sine
+
+
+def stft(buffer: AudioBuffer, window_size: int, hop_size: int) -> np.ndarray:
+    """Hann-windowed magnitude STFT of a mono buffer, no padding, from _stft_blocks.
+
+    Returns a read-only (frames, window_size // 2 + 1) float64 array.
+    Frame count is floor((n - window) / hop) + 1; a clip shorter than one
+    window yields zero frames.  Also used by test_timewarp and the
+    acceptance tests to find a tone's peak bin.
+    """
+    if buffer.n_channels != 1:
+        raise ValueError("stft expects a mono buffer; call to_mono first")
+    n_frames, blocks = _stft_blocks(buffer.samples[0], window_size, hop_size)
+    mags = np.empty((n_frames, window_size // 2 + 1))
+    for first, block in blocks:
+        mags[first : first + len(block)] = block
+    mags.setflags(write=False)
+    return mags
 
 
 def test_buffer_shapes():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from chordweave.chords import (
@@ -25,7 +25,8 @@ from chordweave.chroma import (
     write_matrix,
     write_matrix_csv,
 )
-from chordweave.formats import FormatError
+from chordweave.formats import FormatError, dump_document, dumps_document
+from chordweave.pipeline import GenerationRequest, generation_request_to_dict
 
 
 def test_chord_to_chroma_is_multi_hot():
@@ -183,3 +184,66 @@ def test_dict_data_encodes_as_per_float_rows(seed, frames):
     encoded = json.dumps(chroma_matrix_to_dict(matrix))
     assert encoded == json.dumps(reference)
     assert "[-0.0, " in encoded
+
+
+def _reference_csv(matrix: ChromaMatrix) -> str:
+    """Reference: the CSV export built one repr(float(v)) per value."""
+    lines = [",".join(CSV_BIN_LABELS)]
+    for row in matrix.values:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_SIGNED_ZERO_ROWS = ChromaMatrix(np.array([[0.0] * 12, [0.0] * 12, [-0.0] * 12, [0.0] * 12]), 50.0)
+_EXTREME_ROWS = ChromaMatrix(
+    np.array([[0.0] * 12, [-0.0] * 12, [-0.0] * 12, [5e-324] * 6 + [1e16] * 6, [0.0] * 12]), 50.0
+)
+
+
+@st.composite
+def _repeated_rows(draw):
+    """A matrix made of runs of a few rows drawn from zeros of both signs and extreme floats."""
+    values = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 1e16])
+    rows = draw(st.lists(st.lists(values, min_size=12, max_size=12), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(1, 6)), max_size=10))
+    frames = [rows[i] for i, count in runs for _ in range(count)]
+    return ChromaMatrix(np.array(frames, dtype=np.float64).reshape(-1, 12), 50.0)
+
+
+@given(_repeated_rows())
+@example(_EXTREME_ROWS)
+def test_csv_matches_per_value_reference(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "chroma.csv"
+    write_matrix_csv(matrix, path)
+    assert path.read_bytes() == _reference_csv(matrix).encode("ascii")
+
+
+@settings(max_examples=300)
+@given(_repeated_rows())
+@example(_SIGNED_ZERO_ROWS)
+def test_shared_rows_are_the_matrix_rows(matrix):
+    data = chroma_matrix_to_dict(matrix)["data"]
+    expected = matrix.values.tolist()
+    assert data == expected
+    assert [list(map(repr, row)) for row in data] == [list(map(repr, row)) for row in expected]
+    # Rows that differ only in a zero's sign are not shared.
+    bits = matrix.values.view(np.uint64)
+    for k in range(1, len(data)):
+        assert (data[k] is data[k - 1]) == np.array_equal(bits[k], bits[k - 1])
+
+
+@settings(max_examples=300)
+@given(_repeated_rows())
+@example(_SIGNED_ZERO_ROWS)
+@example(_EXTREME_ROWS)
+def test_shared_rows_write_as_json_writes_separate_rows(tmp_path_factory, matrix):
+    doc = chroma_matrix_to_dict(matrix)
+    separate = {**doc, "data": matrix.values.tolist()}
+    expected = json.dumps(separate, indent=2, allow_nan=False) + "\n"
+    assert dumps_document(doc) == expected
+    path = tmp_path_factory.mktemp("json") / "chroma.json"
+    dump_document(doc, path)
+    assert path.read_bytes() == expected.encode("ascii")
+    # The live request body: request_generation's compact json.dumps.
+    request = generation_request_to_dict(GenerationRequest("p", 96.0, 10.0, matrix))
+    assert json.dumps(request) == json.dumps({**request, "chroma": separate})

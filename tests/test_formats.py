@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chordweave import cli
+from chordweave import cli, formats
 from chordweave.beats import BeatGrid, beat_grid_from_dict, beat_grid_to_dict, write_beat_grid
 from chordweave.chords import (
     chord_sequence_from_dict,
@@ -234,6 +234,12 @@ _MISTYPED = [
     ("beat-grid", ("beats_per_bar",), "4"),
     ("beat-grid", ("beats_s", 1), "0.5"),
     ("beat-grid", ("downbeats_s",), [[0.0], [2.0]]),
+    # A boolean among numbers, where NumPy would read it as the 1.0 or 0.0 it replaces.
+    ("chroma-matrix", ("data", 0, 0), True),
+    ("chroma-matrix", ("data", 0, 1), False),
+    ("genreq", ("chroma", "data", 0, 0), True),
+    ("beat-grid", ("beats_s", 2), True),
+    ("beat-grid", ("downbeats_s", 0), False),
 ]
 
 
@@ -454,3 +460,21 @@ def test_request_file_write_never_holds_the_whole_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < size // 20
+
+
+def test_request_rows_encoded_once_per_run(tmp_path, monkeypatch):
+    values = _LONG_MATRIX.values
+    runs = 1 + np.count_nonzero(np.any(values[1:] != values[:-1], axis=1))
+    assert runs < _LONG_MATRIX.n_frames // 10
+    float_row, calls = formats._float_row, []
+
+    def counted(value, indent):
+        calls.append(value)
+        return float_row(value, indent)
+
+    monkeypatch.setattr(formats, "_float_row", counted)
+    write_generation_request(_LONG_REQUEST, tmp_path / "request.json")
+    # Once per run, and once for the list of rows itself, which is not a float row.
+    assert len(calls) == runs + 1
+    assert len(calls[0]) == _LONG_MATRIX.n_frames
+    assert all(len(row) == 12 for row in calls[1:])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from chordweave import timewarp
-from chordweave.audio import AudioBuffer, stft, to_mono
+from chordweave.audio import AudioBuffer, to_mono
 from chordweave.beats import BeatGrid
 from chordweave.synth import click_track, sine
 from chordweave.timewarp import (
@@ -19,6 +19,8 @@ from chordweave.timewarp import (
     build_anchor_map,
     wsola_stretch,
 )
+
+from test_audio import stft
 
 SR = 44100
 
