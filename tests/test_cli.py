@@ -392,3 +392,12 @@ def test_remix_demo_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert read_wav(tmp_path / "remix.wav").n_samples > 0
+
+
+def test_deeply_nested_config_file_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["--config", str(cfg), "parse", "C:maj"]) == 1
+    err = capsys.readouterr().err
+    assert "chordweave: error:" in err
+    assert "Traceback" not in err

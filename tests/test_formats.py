@@ -9,23 +9,32 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chordweave import cli, formats
-from chordweave.beats import BeatGrid, beat_grid_from_dict, beat_grid_to_dict, write_beat_grid
+from chordweave.beats import (
+    BeatGrid,
+    beat_grid_from_dict,
+    beat_grid_to_dict,
+    read_beat_grid,
+    write_beat_grid,
+)
 from chordweave.chords import (
     chord_sequence_from_dict,
     chord_sequence_to_dict,
     parse_progression,
+    read_chord_sequence,
     write_chord_sequence,
 )
 from chordweave.chroma import (
     ChromaMatrix,
     chroma_matrix_from_dict,
     chroma_matrix_to_dict,
+    read_matrix,
     render_matrix,
     write_matrix,
 )
 from chordweave.formats import (
     FormatError,
     _chunks,
+    as_numbers,
     decode,
     dump_document,
     dumps_document,
@@ -35,6 +44,7 @@ from chordweave.pipeline import (
     GenerationRequest,
     generation_request_from_dict,
     generation_request_to_dict,
+    read_generation_request,
     write_generation_request,
 )
 
@@ -478,3 +488,196 @@ def test_request_rows_encoded_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == runs + 1
     assert len(calls[0]) == _LONG_MATRIX.n_frames
     assert all(len(row) == 12 for row in calls[1:])
+
+
+# The reader against the standard library: load_document gives what
+# json.loads gives, type for type, or the FormatError the whole-text
+# parse raises, whether or not it reads the rows once per distinct text.
+
+_READ = {
+    "chord-seq": read_chord_sequence,
+    "chroma-matrix": read_matrix,
+    "beat-grid": read_beat_grid,
+    "genreq": read_generation_request,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_READ))
+def test_undecodable_bytes_raise_format_error(tmp_path, kind):
+    path = tmp_path / "doc.json"
+    path.write_bytes(dumps_document(_valid(kind)).encode("ascii").replace(b"/v1", b"/v1\xff", 1))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        _READ[kind](path)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deep_nesting_raises_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    with pytest.raises(FormatError, match="nested too deeply"):
+        load_document(path)
+    # The same depth beside a list of rows, which is read apart first.
+    text = dumps_document(_valid("genreq"))
+    text = text[: -len("\n}\n")] + ',\n  "deep": ' + _DEEP + "\n}\n"
+    assert formats._load_rows(text) is None
+    path.write_text(text)
+    with pytest.raises(FormatError, match="nested too deeply"):
+        load_document(path)
+
+
+def _typed(value):
+    """value as a tree that tells int from float, 0.0 from -0.0, and keeps key order."""
+    if isinstance(value, dict):
+        return "dict", [(key, _typed(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return "list", [_typed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def _outcome(path):
+    try:
+        return "value", _typed(load_document(path))
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+# Items whose rows must not merge: 0.0 and -0.0, 1 and 1.0.
+_ROW_ITEMS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1, 1.0, 1, 0, -3])
+_SENTINEL = "@@"
+# Text put in place of one row item: literals, strings with brackets, a third level.
+_ITEM_TEXTS = ["true", "null", "NaN", "Infinity", "-Infinity", '"]["', '"x\\n],\\n[y"', "[1.0]", "{}"]
+_DUPLICATES = ["[]", "[[1.5], [1.5]]", "[\n    [\n      2.5\n    ],\n    [\n      2.5\n    ]\n  ]"]
+_TAILS = ["x", "]", "}", "NaN", " ", "\n\n", "{}", '"s"', ","]
+
+
+@st.composite
+def _document_text(draw):
+    """The text of a document dump_document wrote, then perhaps mutated."""
+    pool = draw(st.lists(st.lists(_ROW_ITEMS, min_size=1, max_size=12), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+                         min_size=1, max_size=8))
+    data = [pool[i] for i, length in runs for _ in range(length)]
+    mutation = draw(st.sampled_from(
+        ["none", "compact", "indent", "item", "twin", "third-level", "duplicate", "trailing",
+         "quoted", "splice"]
+    ))
+    if mutation == "item":
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] = [_SENTINEL, *data[at][1:]]
+    elif mutation == "third-level":
+        at = draw(st.integers(0, len(data)))
+        data = [data[:at], data[at:]]
+    chroma = {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": len(data), "data": data}
+    if mutation == "twin":
+        chroma = {"twin": data, **chroma} if draw(st.booleans()) else {**chroma, "twin": data}
+    doc = chroma
+    if draw(st.booleans()):
+        prompt = draw(st.sampled_from(["piano", "NaN", "-Infinity", "[\n]", "],["]))
+        doc = {"format": "genreq/v1", "prompt": prompt, "bpm": 120.0, "duration_s": 1.0,
+               "chroma": chroma}
+    text = dumps_document(doc)
+    if mutation == "compact":
+        text = json.dumps(doc, separators=(",", ":"))
+    elif mutation == "indent":
+        text = json.dumps(doc, indent=draw(st.sampled_from([0, 1, 4, "\t"])))
+    elif mutation == "item":
+        text = text.replace(f'"{_SENTINEL}"', draw(st.sampled_from(_ITEM_TEXTS)))
+    elif mutation == "duplicate":
+        extra = draw(st.sampled_from(_DUPLICATES))
+        if draw(st.booleans()):
+            text = text.replace('"data": ', '"data": ' + extra + ',\n  "data": ', 1)
+        else:
+            last = text.rindex("]") + 1
+            text = text[:last] + ',\n  "data": ' + extra + text[last:]
+    elif mutation == "trailing":
+        text += draw(st.sampled_from(_TAILS))
+    elif mutation == "quoted":
+        text = text.replace('"data": [', '"data": "[', 1)
+        last = text.rindex("]") + 1
+        text = text[:last] + '"' + text[last:]
+    elif mutation == "splice":
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + draw(st.text(" \n[]{},:\"-.0eNa", max_size=3)) + text[end:]
+    return text
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_document_text())
+@example('{"data": [\n  [\n    0.0\n  ],\n  [\n    -0.0\n  ],\n  [\n    0\n  ],\n  [\n    0.0\n  ]\n]}\n')
+@example('{"a": "[\n  [\n    1\n  ],\n  [\n    2\n  ]\n]"}')
+@example('{"a": [\n  [\n    1\n  ],\n  [\n    2\n  ]\n], "b": NaN}')
+@example('[\n  [\n    1\n  ],\n  [\n    2\n  ]\n]')
+@example('{"a": {[\n  1\n  ],\n  [\n  2\n  ]\n]}')
+@example('{"a": [[\n  1\n  ],\n  [\n  2\n  ]\n}}')
+@example('{"a": [\n  [\n    1\n  ],\n  [\n    1e999\n  ]\n]}')
+@example('{"a": [\n  [\n    1\n  ],\n  [\n    1 2\n  ]\n]}')
+def test_load_document_reads_as_json_loads(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    outcome = _outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_load_rows", lambda text: None)
+        assert outcome == _outcome(path)
+    if outcome[0] == "value":
+        assert outcome[1] == _typed(json.loads(text))
+
+
+def test_written_request_rows_parsed_once_per_distinct_row(tmp_path, monkeypatch):
+    path = tmp_path / "request.json"
+    write_generation_request(_LONG_REQUEST, path)
+    distinct = len({json.dumps(row) for row in generation_request_to_dict(_LONG_REQUEST)["chroma"]["data"]})
+    assert distinct < _LONG_MATRIX.n_frames // 100
+    loads, texts = json.loads, []
+
+    def counted(text, **kwargs):
+        texts.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    doc = load_document(path)
+    monkeypatch.undo()
+    # One parse per distinct row text and one of the rest; never the whole text.
+    assert len(texts) == distinct + 1
+    assert max(map(len, texts)) < path.stat().st_size // 100
+    assert len({id(row) for row in doc["chroma"]["data"]}) == distinct
+    assert _typed(doc) == _typed(json.loads(path.read_text()))
+
+
+# as_numbers on rows shared as load_document shares them.
+
+
+def test_as_numbers_checks_shared_rows():
+    flagged, ints = [0.5, True], [1, 2]
+    with pytest.raises(TypeError, match="boolean"):
+        as_numbers([flagged] * 3)
+    with pytest.raises(TypeError, match="boolean"):
+        as_numbers([[0.5, 0.5], flagged, flagged])
+    assert as_numbers([ints] * 3).tolist() == [[1.0, 2.0]] * 3
+    row = [0.0, 1.0]
+    with pytest.raises(ValueError):
+        as_numbers([row, row, [0.0], [0.0]])
+    with pytest.raises(ValueError):
+        as_numbers([[0.0], row, row])
+
+
+_POOL = st.lists(st.lists(_ROW_ITEMS, min_size=2, max_size=2), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POOL, st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4), st.booleans()), min_size=1))
+@example([[0.0, 1.0], [-0.0, 1.0]], [(0, 2, False), (1, 2, False), (0, 1, True)])
+@example([[1, 2], [1.0, 2.0]], [(0, 3, False), (1, 3, False)])
+def test_as_numbers_on_shared_rows_matches_numpy(pool, runs):
+    # A run's rows are one list object, or, with the flag, equal copies.
+    values = [
+        list(pool[i % len(pool)]) if copy_rows else pool[i % len(pool)]
+        for i, length, copy_rows in runs
+        for _ in range(length)
+    ]
+    expected = np.array(values).astype(np.float64)
+    actual = as_numbers(values)
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
