@@ -17,14 +17,18 @@ Reading follows the same run rule.  load_document splits the text of a
 list of rows written in that layout on the text between two rows, parses
 each distinct row text once, and gives every occurrence of it one shared
 list object; the rest of the document is one json.loads with the list's
-text replaced by a placeholder.  Any other layout, and any text that
-leaves a doubt, is parsed whole by json.loads, which gives the same
-values and raises the same errors.  as_numbers then converts each run
-of one shared row once.  pipeline.read_generation_request reads a 240 s
-request (12,000 frames, 2 MB) in about 8 ms, where parsing the whole
-text and converting every row took 35-40 ms (2-vCPU KVM guest, Python
-3.11).  Text that is not UTF-8, or that nests too deeply for the
-parser, raises FormatError as invalid JSON does.
+text replaced by a placeholder.  Rows are read apart only when each
+distinct row text stands for at least three rows, among rows 2 to 32
+and then among all, so not the frames of a recording's chromagram,
+which all differ.  Any other layout, and any text that leaves a doubt,
+is parsed whole by json.loads, which gives the same values and raises
+the same errors.  as_numbers then converts each run of one shared row
+once.  pipeline.read_generation_request reads a 240 s request (12,000
+frames, 2 MB) in about 8 ms, where parsing the whole text and
+converting every row took 35-40 ms (2-vCPU KVM guest, Python 3.11);
+chroma.read_matrix of 12,000 distinct frames takes 46-50 ms, the time
+of the whole-text parse.  Text that is not UTF-8, or that nests too
+deeply for the parser, raises FormatError as invalid JSON does.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 
@@ -104,17 +108,22 @@ def as_numbers(values) -> np.ndarray:
     once and the result repeated by run length.  Items are matched by
     identity, never by value, so 0.0 and -0.0, or True and 1, never merge.
     """
-    lengths = None
+    runs, lengths = values, None
     if isinstance(values, list):
         starts = [0, *compress(range(1, len(values)), map(is_not, values[1:], values))]
         if len(starts) < len(values):
             lengths = np.diff(starts + [len(values)])
-            values = list(map(values.__getitem__, starts))
-    array = np.array(values)
+            runs = list(map(values.__getitem__, starts))
+    try:
+        array = np.array(runs)
+    except ValueError:
+        # Ragged rows: raise NumPy's error for all the rows, whose shape
+        # it names, rather than for the runs.
+        array = np.array(values)
     if array.dtype.kind not in "iuf":
         raise TypeError(f"expected an array of numbers, got elements of dtype {array.dtype}")
     if array.ndim:
-        elements = values
+        elements = runs
         for _ in range(array.ndim - 1):
             elements = chain.from_iterable(elements)
         if bool in set(map(type, elements)):
@@ -134,6 +143,10 @@ _ROW_BREAK = re.compile(r"\n( *)\],\n\1\[\n")
 # no string, bracket, brace or literal.
 _NUMBERS_TEXT = re.compile(r"[0-9eE+\-., \t\n\r]*")
 _CLOSING = re.compile(r"[ \t\n\r]*\]")
+# Parsing one row text apart costs about what parsing two or three rows
+# within the whole text does, so rows are read apart only when each
+# distinct text stands for at least this many rows.
+_MIN_ROWS_PER_TEXT = 3
 
 
 def _load_rows(text: str):
@@ -141,15 +154,23 @@ def _load_rows(text: str):
 
     The rows are those of the first pair written as dump_document writes
     two consecutive rows.  None, for the caller to parse the whole text,
-    when there is no such pair, when the rows split on that separator are
-    not all the items of one list, when a row's text could hold anything
-    but numbers, when the text outside the list holds NaN or Infinity, or
-    when any of it fails to parse.  Every row of one text is the same list
-    object, so the rows of a run are shared as chroma_matrix_to_dict
-    shares them.
+    when there is no such pair, when fewer than _MIN_ROWS_PER_TEXT rows
+    share each distinct row text on average, among rows 2 to 32 (to the
+    last but one in a shorter list) or among all the rows, when the rows
+    split on that separator are not all the items of one list, when a
+    row's text could hold anything but numbers, when the text outside
+    the list holds NaN or Infinity, or when any of it fails to parse.
+    Every row of one text is the same list object, so the rows of a run
+    are shared as chroma_matrix_to_dict shares them.
     """
     found = _ROW_BREAK.search(text)
     if found is None:
+        return None
+    # The rows-per-text test below, on rows 2 to 32 first: the text of a
+    # recording's chromagram, whose frames all differ, is not split whole.
+    breaks = list(islice(re.finditer(re.escape(found.group()), text), 32))
+    sample = [text[a.end():b.start()] for a, b in zip(breaks, breaks[1:])]
+    if len(set(sample)) * _MIN_ROWS_PER_TEXT > len(sample):
         return None
     bodies = text.split(found.group())
     head, tail = bodies[0], bodies[-1]
@@ -165,9 +186,12 @@ def _load_rows(text: str):
     # first or last row parses to the same object as those.
     bodies[0] = head[opening + 1:].removeprefix("\n")
     bodies[-1] = tail[:closing].removesuffix("\n" + found.group(1))
+    distinct = set(bodies)
+    if len(distinct) * _MIN_ROWS_PER_TEXT > len(bodies):
+        return None
     rows, placed = {}, []
     try:
-        for body in set(bodies):
+        for body in distinct:
             if _NUMBERS_TEXT.fullmatch(body) is None:
                 return None
             rows[body] = json.loads("[" + body + "]")

@@ -556,7 +556,7 @@ _TAILS = ["x", "]", "}", "NaN", " ", "\n\n", "{}", '"s"', ","]
 def _document_text(draw):
     """The text of a document dump_document wrote, then perhaps mutated."""
     pool = draw(st.lists(st.lists(_ROW_ITEMS, min_size=1, max_size=12), min_size=1, max_size=4))
-    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 8)),
                          min_size=1, max_size=8))
     data = [pool[i] for i, length in runs for _ in range(length)]
     mutation = draw(st.sampled_from(
@@ -604,16 +604,28 @@ def _document_text(draw):
     return text
 
 
+def _rows_text(*items):
+    """Runs of six one-item rows, laid out as dump_document lays out rows one level down."""
+    rows = [item for item in items for _ in range(6)]
+    return "[\n  [\n    " + "\n  ],\n  [\n    ".join(rows) + "\n  ]\n]"
+
+
+# Texts whose rows are read apart.
+_ROWS_SIGNED_ZERO = _rows_text("0.0", "-0.0", "0", "0.0")
+_ROWS_TOP_LEVEL = _rows_text("1", "2", "1")
+_ROWS_OVERFLOW = _rows_text("1", "1e999")
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_document_text())
-@example('{"data": [\n  [\n    0.0\n  ],\n  [\n    -0.0\n  ],\n  [\n    0\n  ],\n  [\n    0.0\n  ]\n]}\n')
-@example('{"a": "[\n  [\n    1\n  ],\n  [\n    2\n  ]\n]"}')
-@example('{"a": [\n  [\n    1\n  ],\n  [\n    2\n  ]\n], "b": NaN}')
-@example('[\n  [\n    1\n  ],\n  [\n    2\n  ]\n]')
+@example('{"data": ' + _ROWS_SIGNED_ZERO + '}\n')
+@example('{"a": "' + _rows_text("1") + '"}')
+@example('{"a": ' + _rows_text("1", "2") + ', "b": NaN}')
+@example(_ROWS_TOP_LEVEL)
 @example('{"a": {[\n  1\n  ],\n  [\n  2\n  ]\n]}')
 @example('{"a": [[\n  1\n  ],\n  [\n  2\n  ]\n}}')
-@example('{"a": [\n  [\n    1\n  ],\n  [\n    1e999\n  ]\n]}')
-@example('{"a": [\n  [\n    1\n  ],\n  [\n    1 2\n  ]\n]}')
+@example(_ROWS_OVERFLOW)
+@example('{"a": ' + _rows_text("1", "1 2") + '}')
 def test_load_document_reads_as_json_loads(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
@@ -646,6 +658,36 @@ def test_written_request_rows_parsed_once_per_distinct_row(tmp_path, monkeypatch
     assert _typed(doc) == _typed(json.loads(path.read_text()))
 
 
+@pytest.mark.parametrize("text", ['{"data": ' + _ROWS_SIGNED_ZERO + "}", _ROWS_TOP_LEVEL, _ROWS_OVERFLOW])
+def test_repeated_rows_read_apart(text):
+    assert _typed(formats._load_rows(text)) == _typed(json.loads(text))
+
+
+@pytest.mark.parametrize("run, apart", [(1, False), (2, False), (4, True)])
+def test_rows_read_apart_only_when_repeated(tmp_path, run, apart):
+    # Noise: no two frames alike until each is repeated `run` times.
+    values = np.repeat(np.random.default_rng(0).random((600, 12)), run, axis=0)
+    path = tmp_path / "matrix.json"
+    write_matrix(ChromaMatrix(values, 50.0), path)
+    assert (formats._load_rows(path.read_text()) is not None) == apart
+    assert read_matrix(path).values.tobytes() == values.tobytes()
+
+
+_DISTINCT_ROWS = [[float(i)] for i in range(600)]
+
+
+@pytest.mark.parametrize("rows, apart", [
+    # Rows 2 to 32 may hold at most ten distinct texts (31 / 3), whatever follows,
+    (_DISTINCT_ROWS[:11] + [[0.5]] * 1000, False),
+    (_DISTINCT_ROWS[:10] + [[0.5]] * 1000, True),
+    # and all the rows at most a third as many as there are rows.
+    ([[0.5]] * 40 + _DISTINCT_ROWS, False),
+    ([[0.5]] * 100 + _DISTINCT_ROWS[:30], True),
+], ids=["11-texts-first", "10-texts-first", "601-texts-in-640", "31-texts-in-130"])
+def test_rows_read_apart_when_each_text_stands_for_three(rows, apart):
+    assert (formats._load_rows(dumps_document({"data": rows})) is not None) == apart
+
+
 # as_numbers on rows shared as load_document shares them.
 
 
@@ -661,6 +703,16 @@ def test_as_numbers_checks_shared_rows():
         as_numbers([row, row, [0.0], [0.0]])
     with pytest.raises(ValueError):
         as_numbers([[0.0], row, row])
+
+
+def test_as_numbers_ragged_shared_rows_fail_as_numpy_does():
+    row = [0.0, 1.0]
+    values = [row, row, row, [0.0]]
+    with pytest.raises(ValueError) as expected:
+        np.array(values)
+    with pytest.raises(ValueError) as actual:
+        as_numbers(values)
+    assert str(actual.value) == str(expected.value)
 
 
 _POOL = st.lists(st.lists(_ROW_ITEMS, min_size=2, max_size=2), min_size=1, max_size=4)
