@@ -40,7 +40,7 @@ from .pipeline import (
     request_generation,
     run_remix,
 )
-from .timewarp import AnchorMap, WsolaConfig, align_to_anchors, build_anchor_map, wsola_stretch
+from .timewarp import AnchorMap, WsolaConfig, align_to_anchors, build_anchor_map
 
 __version__ = "0.1.0"
 
@@ -88,5 +88,4 @@ __all__ = [
     "track_beats",
     "write_matrix",
     "write_wav",
-    "wsola_stretch",
 ]

@@ -27,8 +27,9 @@ once.  pipeline.read_generation_request reads a 240 s request (12,000
 frames, 2 MB) in about 8 ms, where parsing the whole text and
 converting every row took 35-40 ms (2-vCPU KVM guest, Python 3.11);
 chroma.read_matrix of 12,000 distinct frames takes 46-50 ms, the time
-of the whole-text parse.  Text that is not UTF-8, or that nests too
-deeply for the parser, raises FormatError as invalid JSON does.
+of the whole-text parse.  Text that is not UTF-8, that nests too
+deeply for the parser or that holds an integer literal longer than the
+interpreter converts, raises FormatError as invalid JSON does.
 """
 
 from __future__ import annotations
@@ -207,11 +208,12 @@ def _load_rows(text: str):
 def load_document(path: str | os.PathLike) -> dict:
     """Read a JSON object; its "format" tag is checked by decode.
 
-    Text that is not UTF-8, is not JSON or nests too deeply to parse
-    raises FormatError.  The rows of a list written in dump_document's
-    layout are parsed once per distinct row text, and equal row texts
-    give one shared list object (see _load_rows): treat the result as
-    read-only.  Any other text is parsed whole by json.loads.
+    Text that is not UTF-8, is not JSON, nests too deeply to parse or
+    holds an integer literal past the interpreter's digit limit raises
+    FormatError.  The rows of a list written in dump_document's layout
+    are parsed once per distinct row text, and equal row texts give one
+    shared list object (see _load_rows): treat the result as read-only.
+    Any other text is parsed whole by json.loads.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -222,7 +224,10 @@ def load_document(path: str | os.PathLike) -> dict:
     if doc is None:
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except FormatError:
+            raise
+        except ValueError as exc:
+            # Invalid JSON, or an integer literal past the interpreter's digit limit.
             raise FormatError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise FormatError(f"nested too deeply: {exc}") from exc

@@ -5,7 +5,10 @@ are laid down half a grain apart (the synthesis hop is not an option)
 while their analysis positions slide through the input at the stretch
 ratio, each nudged within a search tolerance to best continue the
 previous grain.  Anchor maps apply a different ratio per segment so
-specific instants (downbeats) land exactly where asked.
+specific instants (downbeats) land exactly where asked, and
+align_to_anchors is the one way in: a whole-buffer stretch of n samples
+by one ratio is the one-segment map ((0, 0), (n / rate,
+round(n * ratio) / rate)).
 
 The offset search scores each candidate grain by its correlation with
 the continuation of the previous one and takes the best, but a score
@@ -269,30 +272,6 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.nd
     groups = _groups(np.array(n_grains), workers)
     _run_split([partial(stretch, group) for group in groups])
     return out
-
-
-def wsola_stretch(
-    buffer: AudioBuffer, ratio: float, config: WsolaConfig | None = None
-) -> AudioBuffer:
-    """Stretch a buffer's duration by `ratio` without changing its pitch.
-
-    ratio 2.0 doubles the duration, 0.5 halves it; the allowed range is
-    [0.25, 4].  ratio 1.0 returns the samples untouched.  The output
-    length is exactly round(ratio * n) samples.
-    """
-    if config is None:
-        config = WsolaConfig()
-    if not RATIO_MIN <= ratio <= RATIO_MAX:
-        raise ValueError(f"stretch ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
-    if buffer.n_samples < config.frame_length:
-        raise ValueError(
-            f"buffer of {buffer.n_samples} samples is too short for "
-            f"frame length {config.frame_length}"
-        )
-    if ratio == 1.0:
-        return buffer
-    bounds = [(0, buffer.n_samples, int(round(buffer.n_samples * ratio)))]
-    return AudioBuffer._adopt(_stretch_segments(buffer.samples, bounds, config), buffer.sample_rate)
 
 
 @dataclass(frozen=True)

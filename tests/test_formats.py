@@ -527,6 +527,34 @@ def test_deep_nesting_raises_format_error(tmp_path):
         load_document(path)
 
 
+# An integer literal past the interpreter's int() digit limit (4,300 by
+# default).  An interpreter without the limit reads it, and its float()
+# overflows instead, so only the exception type is checked.
+_HUGE_INTEGER = "1" * 5000
+_SCALAR_FIELDS = {"chord-seq": "bpm", "chroma-matrix": "frame_rate_hz", "beat-grid": "bpm", "genreq": "bpm"}
+
+
+@pytest.mark.parametrize("kind", sorted(_READ))
+def test_huge_integer_raises_format_error(tmp_path, kind):
+    path = tmp_path / "doc.json"
+    doc = _replaced(_valid(kind), (_SCALAR_FIELDS[kind],), "huge")
+    path.write_text(dumps_document(doc).replace('"huge"', _HUGE_INTEGER))
+    with pytest.raises(FormatError):
+        _READ[kind](path)
+
+
+def test_huge_integer_in_a_shared_row_raises_format_error(tmp_path):
+    path = tmp_path / "request.json"
+    write_generation_request(_LONG_REQUEST, path)
+    text = path.read_text()
+    assert formats._load_rows(text) is not None
+    # The first item of the first row, which _load_rows parses apart.
+    at = text.index("1.0", text.index('"data"'))
+    path.write_text(text[:at] + _HUGE_INTEGER + text[at + len("1.0"):])
+    with pytest.raises(FormatError):
+        read_generation_request(path)
+
+
 def _typed(value):
     """value as a tree that tells int from float, 0.0 from -0.0, and keeps key order."""
     if isinstance(value, dict):

@@ -35,7 +35,7 @@ from chordweave.pipeline import (
 )
 from chordweave import pipeline, timewarp
 from chordweave.synth import chord_tones, click_track, concat, mix, silence
-from chordweave.timewarp import align_to_anchors, build_anchor_map, wsola_stretch
+from chordweave.timewarp import align_to_anchors, build_anchor_map
 
 SR = 44100
 START = 0.25
@@ -400,7 +400,6 @@ def test_warp_and_mix_buffers_are_read_only(instrumental, bundle):
     gen_grid = estimate_generated_grid(gen, build_request(bundle), config)
     loud = AudioBuffer(np.array(gen.samples) * 4.0, SR)
     buffers = [
-        wsola_stretch(gen, 1.3),
         align_to_anchors(gen, build_anchor_map(gen_grid, bundle.beat_grid)),
         peak_normalize(loud, -1.0),
         finalize_remix(gen, StemSet(instrumental), gen_grid, bundle.beat_grid, config),
