@@ -8,6 +8,7 @@ frame-rate matrix by sampling each frame at its centre time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .formats import (
     decode,
     dump_document,
     load_document,
+    write_text,
 )
 
 DEFAULT_FRAME_RATE_HZ = 50.0
@@ -127,8 +129,11 @@ def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
 
 def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
     def build(doc: dict) -> ChromaMatrix:
-        values = as_numbers(doc["data"])
-        if values.shape != (as_integer(doc["frames"]), 12):
+        values, frames = as_numbers(doc["data"]), as_integer(doc["frames"])
+        if frames == 0 and values.shape == (0,):
+            # An empty list holds no row to give it its 12 columns.
+            values = values.reshape(0, 12)
+        if values.shape != (frames, 12):
             raise ValueError(f"data of shape {values.shape} is not {doc['frames']} frames by 12")
         return ChromaMatrix(values, as_number(doc["frame_rate_hz"]))
 
@@ -146,10 +151,9 @@ def read_matrix(path) -> ChromaMatrix:
 def write_matrix_csv(matrix: ChromaMatrix, path) -> None:
     """CSV export: header row of bin labels, then one row per frame.
 
-    Each run of identical frames has its line made once.
+    Each run of identical frames has its line made once, and the lines
+    are written in batches.
     """
     rows, run = _runs(matrix.values)
     lines = [",".join(map(float.__repr__, row)) + "\n" for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_BIN_LABELS) + "\n")
-        fh.writelines(map(lines.__getitem__, run))
+    write_text(path, chain((",".join(CSV_BIN_LABELS) + "\n",), map(lines.__getitem__, run)))

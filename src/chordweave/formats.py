@@ -8,28 +8,34 @@ Infinity are not JSON: they are never written, and never read.
 Documents are written exactly as ``json.dumps(doc, indent=2)`` writes
 them, but a list of floats, such as one frame of a chroma matrix, is
 encoded in one string operation rather than number by number, and the
-text is streamed to the file one row or container header at a time.
+pieces (rows and container headers) are joined and written to the file
+in batches of _BATCH_PIECES, so a write never holds the whole text.
 Consecutive items of a list that are one and the same list object, as
 the frames of a chord are in ``chroma.chroma_matrix_to_dict``, are
 encoded once and their text written again.
 
-Reading follows the same run rule.  load_document splits the text of a
-list of rows written in that layout on the text between two rows, parses
-each distinct row text once, and gives every occurrence of it one shared
-list object; the rest of the document is one json.loads with the list's
-text replaced by a placeholder.  Rows are read apart only when each
-distinct row text stands for at least three rows, among rows 2 to 32
-and then among all, so not the frames of a recording's chromagram,
-which all differ.  Any other layout, and any text that leaves a doubt,
-is parsed whole by json.loads, which gives the same values and raises
-the same errors.  as_numbers then converts each run of one shared row
-once.  pipeline.read_generation_request reads a 240 s request (12,000
-frames, 2 MB) in about 8 ms, where parsing the whole text and
-converting every row took 35-40 ms (2-vCPU KVM guest, Python 3.11);
-chroma.read_matrix of 12,000 distinct frames takes 46-50 ms, the time
-of the whole-text parse.  Text that is not UTF-8, that nests too
-deeply for the parser or that holds an integer literal longer than the
-interpreter converts, raises FormatError as invalid JSON does.
+Reading follows the same run rule.  load_document walks a list of rows
+written in that layout one run at a time: it finds where a row's text
+ends, at the next row break, and counts how often that text and the
+break repeat from there by comparing whole blocks of text, so its cost
+follows the number of runs, not of rows.  It parses each distinct row
+text once and gives every occurrence of it one shared list object; the
+rest of the document is one json.loads with the list's text replaced by
+a placeholder.  Rows are read apart only when each distinct row text
+stands for at least three rows, among rows 2 to 32 and then among all,
+so not the frames of a recording's chromagram, which all differ.  Any
+other layout, and any text that leaves a doubt, is parsed whole by
+json.loads, which gives the same values and raises the same errors.
+as_numbers then converts each run of one shared row once.  A 240 s
+request (12,000 frames, 2 MB) writes in about 7-8 ms, where writing it
+one piece at a time took 9-12 ms, and pipeline.read_generation_request
+reads it in about 5-6 ms, of which the row walk is 1.5 ms, where
+splitting the text on the row break took 4-6 ms (2-vCPU KVM guest,
+Python 3.11).  chroma.read_matrix of 12,000 distinct frames takes as
+long as the whole-text parse: the row walk gives up on it within
+0.03 ms.  Text that is not UTF-8, that nests too deeply for the parser
+or that holds an integer literal longer than the interpreter converts,
+raises FormatError as invalid JSON does.
 """
 
 from __future__ import annotations
@@ -148,47 +154,85 @@ _CLOSING = re.compile(r"[ \t\n\r]*\]")
 # within the whole text does, so rows are read apart only when each
 # distinct text stands for at least this many rows.
 _MIN_ROWS_PER_TEXT = 3
+# The longest block of repeated row text _repeats compares at once, so
+# a long run is counted without a copy of its whole text.
+_BLOCK_CHARS = 1 << 16
+
+
+def _repeats(text: str, unit: str, pos: int) -> int:
+    """How many times `unit` follows itself in `text` from `pos` on.
+
+    Blocks of 1, 2, 4, ... units are compared while they match, up to
+    _BLOCK_CHARS long, then the rest in halving blocks: one
+    str.startswith per block, however long the run.
+    """
+    count, size, block, smaller = 0, 1, unit, []
+    while text.startswith(block, pos):
+        pos += len(block)
+        count += size
+        if len(block) < _BLOCK_CHARS:
+            smaller.append((block, size))
+            block, size = block + block, size + size
+    for block, size in reversed(smaller):
+        if text.startswith(block, pos):
+            pos += len(block)
+            count += size
+    return count
 
 
 def _load_rows(text: str):
     """json.loads(text), reading the text of each distinct row once, or None.
 
     The rows are those of the first pair written as dump_document writes
-    two consecutive rows.  None, for the caller to parse the whole text,
-    when there is no such pair, when fewer than _MIN_ROWS_PER_TEXT rows
-    share each distinct row text on average, among rows 2 to 32 (to the
-    last but one in a shorter list) or among all the rows, when the rows
-    split on that separator are not all the items of one list, when a
-    row's text could hold anything but numbers, when the text outside
-    the list holds NaN or Infinity, or when any of it fails to parse.
-    Every row of one text is the same list object, so the rows of a run
-    are shared as chroma_matrix_to_dict shares them.
+    two consecutive rows.  They are walked one run at a time: a row's
+    text up to the next row break is one unit, and the unit's repeats
+    are counted where they follow it, so the cost follows the number of
+    runs, not of rows.  A unit ends with the row break, so a row whose
+    text is a prefix of the next one's never joins its run.  None, for
+    the caller to parse the whole text, when there is no such pair, when
+    fewer than _MIN_ROWS_PER_TEXT rows share each distinct row text on
+    average, among rows 2 to 32 (to the last but one in a shorter list)
+    or among all the rows, when the walked rows are not all the items of
+    one list, when a row's text could hold anything but numbers, when
+    the text outside the list holds NaN or Infinity, or when any of it
+    fails to parse.  Every row of one text is the same list object, so
+    the rows of a run are shared as chroma_matrix_to_dict shares them.
     """
     found = _ROW_BREAK.search(text)
     if found is None:
         return None
+    separator = found.group()
     # The rows-per-text test below, on rows 2 to 32 first: the text of a
-    # recording's chromagram, whose frames all differ, is not split whole.
-    breaks = list(islice(re.finditer(re.escape(found.group()), text), 32))
+    # recording's chromagram, whose frames all differ, is not walked whole.
+    breaks = list(islice(re.finditer(re.escape(separator), text), 32))
     sample = [text[a.end():b.start()] for a, b in zip(breaks, breaks[1:])]
     if len(set(sample)) * _MIN_ROWS_PER_TEXT > len(sample):
         return None
-    bodies = text.split(found.group())
-    head, tail = bodies[0], bodies[-1]
-    opening, closing = head.rfind("["), tail.find("]")
-    start = len(head[:opening].rstrip(" \t\n\r")) - 1
-    end = _CLOSING.match(tail, closing + 1)
-    if opening < 0 or start < 0 or head[start] != "[" or closing < 0 or end is None:
+    opening = text.rfind("[", 0, found.start())
+    start = len(text[:opening].rstrip(" \t\n\r")) - 1
+    if opening < 0 or start < 0 or text[start] != "[":
         return None
-    before, after = head[:start], tail[end.end():]
+    # The first row's text starts, and the last row's ends, as a row's
+    # between two others does, so that an equal first or last row parses
+    # to the same object as those.
+    pos = opening + 1 + text.startswith("\n", opening + 1)
+    runs = []
+    while (stop := text.find(separator, pos)) >= 0:
+        body = text[pos:stop]
+        unit = body + separator
+        count = _repeats(text, unit, pos)
+        runs.append((body, count))
+        pos += count * len(unit)
+    closing = text.find("]", pos)
+    end = _CLOSING.match(text, closing + 1)
+    if closing < 0 or end is None:
+        return None
+    runs.append((text[pos:closing].removesuffix("\n" + found.group(1)), 1))
+    before, after = text[:start], text[end.end():]
     if "NaN" in before or "Infinity" in before or "NaN" in after or "Infinity" in after:
         return None
-    # Whitespace as a row between two others has it, so that an equal
-    # first or last row parses to the same object as those.
-    bodies[0] = head[opening + 1:].removeprefix("\n")
-    bodies[-1] = tail[:closing].removesuffix("\n" + found.group(1))
-    distinct = set(bodies)
-    if len(distinct) * _MIN_ROWS_PER_TEXT > len(bodies):
+    distinct = {body for body, _ in runs}
+    if len(distinct) * _MIN_ROWS_PER_TEXT > sum(count for _, count in runs):
         return None
     rows, placed = {}, []
     try:
@@ -196,7 +240,9 @@ def _load_rows(text: str):
             if _NUMBERS_TEXT.fullmatch(body) is None:
                 return None
             rows[body] = json.loads("[" + body + "]")
-        data = list(map(rows.__getitem__, bodies))
+        data = []
+        for body, count in runs:
+            data += [rows[body]] * count
         doc = json.loads(before + "NaN" + after,
                          parse_constant=lambda name: placed.append(name) or data)
     except (ValueError, RecursionError):
@@ -311,11 +357,22 @@ def _chunks(value, indent: str):
         yield _SCALARS.encode(value)
 
 
-def dump_document(doc: dict, path: str | os.PathLike) -> None:
-    """Write a document as deterministic, human-diffable JSON, streamed."""
+# Pieces joined into one write: a batch of rows is a small part of a
+# long document's text, and the file is called once per batch, not per piece.
+_BATCH_PIECES = 256
+
+
+def write_text(path: str | os.PathLike, pieces) -> None:
+    """Write the strings `pieces` to a UTF-8 file, _BATCH_PIECES at a time."""
+    pieces = iter(pieces)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_chunks(doc, ""))
-        fh.write("\n")
+        for first in pieces:
+            fh.write(first + "".join(islice(pieces, _BATCH_PIECES - 1)))
+
+
+def dump_document(doc: dict, path: str | os.PathLike) -> None:
+    """Write a document as deterministic, human-diffable JSON, in batches of rows."""
+    write_text(path, chain(_chunks(doc, ""), ("\n",)))
 
 
 def dumps_document(doc: dict) -> str:

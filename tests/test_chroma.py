@@ -26,7 +26,12 @@ from chordweave.chroma import (
     write_matrix_csv,
 )
 from chordweave.formats import FormatError, dump_document, dumps_document
-from chordweave.pipeline import GenerationRequest, generation_request_to_dict
+from chordweave.pipeline import (
+    GenerationRequest,
+    generation_request_to_dict,
+    read_generation_request,
+    write_generation_request,
+)
 
 
 def test_chord_to_chroma_is_multi_hot():
@@ -247,3 +252,34 @@ def test_shared_rows_write_as_json_writes_separate_rows(tmp_path_factory, matrix
     # The live request body: request_generation's compact json.dumps.
     request = generation_request_to_dict(GenerationRequest("p", 96.0, 10.0, matrix))
     assert json.dumps(request) == json.dumps({**request, "chroma": separate})
+
+
+def test_csv_of_many_batches_matches_per_value_reference(tmp_path):
+    # More lines than one batch of writes holds, in runs of one to three frames.
+    values = np.repeat(np.random.default_rng(5).random((300, 12)), [1, 2, 3] * 100, axis=0)
+    for matrix in (ChromaMatrix(values, 50.0), ChromaMatrix(np.zeros((0, 12)), 50.0)):
+        path = tmp_path / "chroma.csv"
+        write_matrix_csv(matrix, path)
+        assert path.read_bytes() == _reference_csv(matrix).encode("ascii")
+
+
+def test_zero_frame_matrix_round_trips(tmp_path):
+    empty = ChromaMatrix(np.zeros((0, 12)), 50.0)
+    doc = chroma_matrix_to_dict(empty)
+    assert doc["frames"] == 0 and doc["data"] == []
+    assert chroma_matrix_from_dict(doc) == empty
+    path = tmp_path / "chroma.json"
+    write_matrix(empty, path)
+    assert read_matrix(path) == empty
+    # The chroma inside a request: one bar at 30,000 BPM is 0.4 frames.
+    request = GenerationRequest("p", 30000.0, 0.008, empty)
+    path = tmp_path / "request.json"
+    write_generation_request(request, path)
+    assert read_generation_request(path).chroma == empty
+
+
+@pytest.mark.parametrize("frames, data", [(1, []), (0, [[]]), (0, [[0.0] * 12])])
+def test_empty_data_reads_as_zero_frames_only(frames, data):
+    doc = {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": frames, "data": data}
+    with pytest.raises(FormatError, match="frames by 12"):
+        chroma_matrix_from_dict(doc)

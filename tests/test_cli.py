@@ -11,6 +11,7 @@ import pytest
 import chordweave
 from chordweave.audio import read_wav, write_wav
 from chordweave.beats import BeatGrid, write_beat_grid
+from chordweave.chroma import read_matrix
 from chordweave.cli import run
 from chordweave.synth import chord_tones, click_track, concat, mix, silence
 from chordweave.chords import parse_progression
@@ -91,6 +92,16 @@ def test_encode_frame_count(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["format"] == "chroma-matrix/v1"
     assert doc["frames"] == 200
+
+
+def test_zero_frame_encode_reads_back(tmp_path):
+    # One bar at 30,000 BPM lasts 8 ms, less than half a frame at 50 Hz.
+    chords = tmp_path / "chords.json"
+    out = tmp_path / "chroma.json"
+    assert run(["parse", "C:maj", "--bpm", "30000", "--out", str(chords)]) == 0
+    assert run(["encode", "--chords", str(chords), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["data"] == []
+    assert read_matrix(out).values.shape == (0, 12)
 
 
 def test_encode_csv(tmp_path):

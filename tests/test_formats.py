@@ -644,6 +644,26 @@ _ROWS_TOP_LEVEL = _rows_text("1", "2", "1")
 _ROWS_OVERFLOW = _rows_text("1", "1e999")
 
 
+def _runs_text(*runs):
+    """The document {"data": rows} as dump_document writes it, its rows given as (row, count) runs."""
+    return dumps_document({"data": [row for row, count in runs for _ in range(count)]})
+
+
+# Texts whose rows are walked run by run: neighbouring row texts that are
+# prefixes of each other, runs that touch the first and the last row, and
+# one row text in two runs apart.
+_ROWS_PREFIXES = _runs_text(([0.5, 0.1], 4), ([0.5, 0.125], 4), ([0.5, 0.1], 4),
+                            ([0.5, 0.1, 2.0], 4), ([0.5], 4))
+_ROWS_AT_BOTH_ENDS = _runs_text(([1.0], 4), ([2.0], 4), ([1.0], 4), ([2.0], 4))
+_ROWS_A_B_A = _runs_text(([0.5], 5), ([1.5], 5), ([0.5], 5))
+# The text between two of a request's rows, inside its prompt.
+_ROW_BREAK_PROMPT = "x\n      ],\n      [\ny"
+_ROW_BREAK_REQUEST = GenerationRequest(
+    _ROW_BREAK_PROMPT, 120.0, 0.36, ChromaMatrix(np.repeat(np.eye(12)[:3], 6, axis=0), 50.0)
+)
+_REQUEST_WITH_ROW_BREAK = dumps_document(generation_request_to_dict(_ROW_BREAK_REQUEST))
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_document_text())
 @example('{"data": ' + _ROWS_SIGNED_ZERO + '}\n')
@@ -654,6 +674,10 @@ _ROWS_OVERFLOW = _rows_text("1", "1e999")
 @example('{"a": [[\n  1\n  ],\n  [\n  2\n  ]\n}}')
 @example(_ROWS_OVERFLOW)
 @example('{"a": ' + _rows_text("1", "1 2") + '}')
+@example(_ROWS_PREFIXES)
+@example(_ROWS_AT_BOTH_ENDS)
+@example(_ROWS_A_B_A)
+@example(_REQUEST_WITH_ROW_BREAK)
 def test_load_document_reads_as_json_loads(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
@@ -714,6 +738,59 @@ _DISTINCT_ROWS = [[float(i)] for i in range(600)]
 ], ids=["11-texts-first", "10-texts-first", "601-texts-in-640", "31-texts-in-130"])
 def test_rows_read_apart_when_each_text_stands_for_three(rows, apart):
     assert (formats._load_rows(dumps_document({"data": rows})) is not None) == apart
+
+
+def _walked(text):
+    """_load_rows(text), which must read the rows apart and give what json.loads gives."""
+    doc = formats._load_rows(text)
+    assert doc is not None
+    assert _typed(doc) == _typed(json.loads(text))
+    return doc
+
+
+def test_rows_whose_texts_are_prefixes_stay_apart():
+    data = _walked(_ROWS_PREFIXES)["data"]
+    assert [len(row) for row in data] == [2] * 12 + [3] * 4 + [1] * 4
+    assert len({id(row) for row in data}) == 4
+
+
+def test_runs_at_both_ends_share_the_middle_rows_object():
+    data = _walked(_ROWS_AT_BOTH_ENDS)["data"]
+    first, last = data[0], data[-1]
+    assert all(row is first for row in data[:4] + data[8:12])
+    assert all(row is last for row in data[4:8] + data[12:])
+
+
+def test_row_text_in_a_later_run_keeps_its_object():
+    data = _walked(_ROWS_A_B_A)["data"]
+    assert len({id(row) for row in data[:5] + data[10:]}) == 1
+    assert len({id(row) for row in data}) == 2
+
+
+def test_row_break_inside_the_prompt_leaves_the_request_unchanged(tmp_path):
+    # A string holds the break's newlines escaped, so only the rows match it.
+    assert _ROW_BREAK_PROMPT.replace("\n", "\\n") in _REQUEST_WITH_ROW_BREAK
+    assert len({id(row) for row in _walked(_REQUEST_WITH_ROW_BREAK)["chroma"]["data"]}) == 3
+    path = tmp_path / "request.json"
+    path.write_text(_REQUEST_WITH_ROW_BREAK)
+    request = read_generation_request(path)
+    assert request.prompt == _ROW_BREAK_PROMPT
+    assert request.chroma == _ROW_BREAK_REQUEST.chroma
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, formats._BLOCK_CHARS])
+def test_repeats_counts_every_run_length(monkeypatch, block_chars):
+    monkeypatch.setattr(formats, "_BLOCK_CHARS", block_chars)
+    for n in range(70):
+        assert formats._repeats("x" + "ab" * n + "a", "ab", 1) == n
+
+
+@pytest.mark.parametrize("block_chars", [1, formats._BLOCK_CHARS])
+def test_every_run_length_reads_as_json_loads(monkeypatch, block_chars):
+    monkeypatch.setattr(formats, "_BLOCK_CHARS", block_chars)
+    for n in range(1, 70):
+        data = _walked(_runs_text(([0.5], n), ([0.25], 4), ([0.5], 4)))["data"]
+        assert len({id(row) for row in data}) == 2
 
 
 # as_numbers on rows shared as load_document shares them.
