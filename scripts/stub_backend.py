@@ -1,8 +1,9 @@
 """Stand-in generation backend for offline runs.
 
-Accepts genreq/v1 POSTs and answers with a click-marked WAV at the
+Accepts genreq/v2 POSTs and answers with a click-marked WAV at the
 requested duration, with the tempo scaled away from the request so the
-timing-alignment stage has real work to do.
+timing-alignment stage has real work to do.  It reads only "bpm" and
+"duration_s", so a genreq/v1 body is answered the same way.
 """
 import argparse
 import json

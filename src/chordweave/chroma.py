@@ -3,12 +3,27 @@
 Bin order is chromatic from C (bin 0) to B (bin 11).  A chord becomes a
 multi-hot vector over its pitch classes; a timed sequence becomes a
 frame-rate matrix by sampling each frame at its centre time.
+
+A chord holds for many frames, so a matrix is stored as runs.  A
+chroma-matrix/v2 document holds "frame_rate_hz", "frames" and "runs", a
+list of [count, row] pairs, one for each run of bit-identical
+consecutive frames.  Readers also accept chroma-matrix/v1, whose "data"
+spells out every frame as a row; writers emit v2 only.
+
+A v2 document of a few bytes can claim any number of frames, so a reader
+checks the runs before it expands them: each is a [count, row] pair,
+each count a positive integer, the counts sum to "frames", and "frames"
+is at most MAX_FRAMES.  That limit, 2**20 frames (96 MiB as float64), is
+5.8 hours at the 50 Hz conditioning rate, 13.5 hours at the chromagram's
+default 21.5 Hz (44.1 kHz, hop 2048) and 3.4 hours even at hop 512: longer
+than any song a request or a chromagram covers, and small enough that a
+hostile count cannot exhaust memory.  A longer matrix is refused by the
+writer too, so no document is written that the reader would refuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -20,7 +35,6 @@ from .formats import (
     decode,
     dump_document,
     load_document,
-    write_text,
 )
 
 DEFAULT_FRAME_RATE_HZ = 50.0
@@ -96,11 +110,15 @@ def render_matrix(
     return ChromaMatrix(values, frame_rate_hz)
 
 
-CHROMA_MATRIX_FORMAT = "chroma-matrix/v1"
+CHROMA_MATRIX_FORMAT = "chroma-matrix/v2"
+# The first version, which spells out every frame as a row of "data";
+# still read, never written.
+CHROMA_MATRIX_V1_FORMAT = "chroma-matrix/v1"
+MAX_FRAMES = 2**20
 
 
-def _runs(values: np.ndarray) -> tuple[list[list[float]], list[int]]:
-    """The first row of each run of bit-identical rows, and each row's run index.
+def _runs(values: np.ndarray) -> list[list]:
+    """[count, row] for each run of bit-identical consecutive rows.
 
     Rows are compared as bits, so a row holding -0.0 differs from one
     holding 0.0 there, as their text does.
@@ -108,36 +126,60 @@ def _runs(values: np.ndarray) -> tuple[list[list[float]], list[int]]:
     bits = values.view(np.uint64)
     first = np.ones(len(values), dtype=bool)
     first[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    return values[first].tolist(), (np.cumsum(first) - 1).tolist()
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(values))
+    return [[count, row] for count, row in zip(counts.tolist(), values[starts].tolist())]
 
 
 def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
-    """The chroma-matrix/v1 document of a matrix.
-
-    The rows of each run of identical frames in "data" are one shared
-    list object, which the document writer encodes once, so treat the
-    dict as read-only: changing one frame's row changes its whole run.
-    """
-    rows, run = _runs(matrix.values)
+    """The chroma-matrix/v2 document of a matrix; more than MAX_FRAMES raises ValueError."""
+    if matrix.n_frames > MAX_FRAMES:
+        raise ValueError(f"{matrix.n_frames} frames, more than a document holds ({MAX_FRAMES})")
     return {
         "format": CHROMA_MATRIX_FORMAT,
         "frame_rate_hz": float(matrix.frame_rate_hz),
         "frames": matrix.n_frames,
-        "data": list(map(rows.__getitem__, run)),
+        "runs": _runs(matrix.values),
     }
 
 
+def _rows(values, n: int, unit: str) -> np.ndarray:
+    """A JSON array of n rows of 12 numbers as an (n, 12) float64 array."""
+    rows = as_numbers(values)
+    if n == 0 and rows.shape == (0,):
+        # An empty list holds no row to give it its 12 columns.
+        rows = rows.reshape(0, 12)
+    if rows.shape != (n, 12):
+        raise ValueError(f"rows of shape {rows.shape} are not {n} {unit} by 12")
+    return rows
+
+
+def _expand_runs(runs, frames: int) -> np.ndarray:
+    """The rows of v2 runs, every count checked before any run is expanded.
+
+    A run that is not a [count, row] pair fails to unpack, or its count,
+    a string if it unpacks at all, fails as_integer.
+    """
+    if not 0 <= frames <= MAX_FRAMES:
+        raise ValueError(f"frames {frames} is outside 0 to {MAX_FRAMES}")
+    counts = [as_integer(count) for count, _ in runs]
+    if min(counts, default=1) < 1 or sum(counts) != frames:
+        raise ValueError(f"run counts are not positive integers summing to {frames} frames")
+    return np.repeat(_rows([row for _, row in runs], len(runs), "runs"), counts, axis=0)
+
+
 def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
+    """A matrix from its chroma-matrix/v2 document, or from a v1 one."""
+
     def build(doc: dict) -> ChromaMatrix:
-        values, frames = as_numbers(doc["data"]), as_integer(doc["frames"])
-        if frames == 0 and values.shape == (0,):
-            # An empty list holds no row to give it its 12 columns.
-            values = values.reshape(0, 12)
-        if values.shape != (frames, 12):
-            raise ValueError(f"data of shape {values.shape} is not {doc['frames']} frames by 12")
+        frames = as_integer(doc["frames"])
+        if doc["format"] == CHROMA_MATRIX_FORMAT:
+            values = _expand_runs(doc["runs"], frames)
+        else:
+            values = _rows(doc["data"], frames, "frames")
         return ChromaMatrix(values, as_number(doc["frame_rate_hz"]))
 
-    return decode(doc, CHROMA_MATRIX_FORMAT, build)
+    return decode(doc, (CHROMA_MATRIX_FORMAT, CHROMA_MATRIX_V1_FORMAT), build)
 
 
 def write_matrix(matrix: ChromaMatrix, path) -> None:
@@ -149,11 +191,8 @@ def read_matrix(path) -> ChromaMatrix:
 
 
 def write_matrix_csv(matrix: ChromaMatrix, path) -> None:
-    """CSV export: header row of bin labels, then one row per frame.
-
-    Each run of identical frames has its line made once, and the lines
-    are written in batches.
-    """
-    rows, run = _runs(matrix.values)
-    lines = [",".join(map(float.__repr__, row)) + "\n" for row in rows]
-    write_text(path, chain((",".join(CSV_BIN_LABELS) + "\n",), map(lines.__getitem__, run)))
+    """CSV export: header row of bin labels, then one row per frame."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_BIN_LABELS) + "\n")
+        for count, row in _runs(matrix.values):
+            fh.write((",".join(map(float.__repr__, row)) + "\n") * count)

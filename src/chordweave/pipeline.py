@@ -167,7 +167,9 @@ class GenerationRequest:
             raise ValueError("duration_s must be finite and > 0")
 
 
-GENREQ_FORMAT = "genreq/v1"
+GENREQ_FORMAT = "genreq/v2"
+# The first version, which embeds chroma-matrix/v1; still read, never written.
+GENREQ_V1_FORMAT = "genreq/v1"
 
 
 def generation_request_to_dict(req: GenerationRequest) -> dict:
@@ -189,7 +191,7 @@ def generation_request_from_dict(doc: dict) -> GenerationRequest:
             chroma_matrix_from_dict(doc["chroma"]),
         )
 
-    return decode(doc, GENREQ_FORMAT, build)
+    return decode(doc, (GENREQ_FORMAT, GENREQ_V1_FORMAT), build)
 
 
 def write_generation_request(req: GenerationRequest, path) -> None:
@@ -337,9 +339,9 @@ def request_generation(
 ) -> AudioBuffer | None:
     """POST a generation request, or write it to disk in dry_run mode.
 
-    Live mode posts the request document as application/json, decodes
-    the response as WAV, and checks the duration is within 5% of the
-    request; transport failures, undecodable responses, and duration
+    Live mode posts the genreq/v2 request document as application/json,
+    decodes the response as WAV, and checks the duration is within 5% of
+    the request; transport failures, undecodable responses, and duration
     mismatches are reported as distinct errors.  A response larger than
     max_response_bytes(req.duration_s) is refused as non-audio: before
     reading when its Content-Length declares it, otherwise as soon as

@@ -25,7 +25,7 @@ from chordweave.chroma import (
     write_matrix,
     write_matrix_csv,
 )
-from chordweave.formats import FormatError, dump_document, dumps_document
+from chordweave.formats import FormatError
 from chordweave.pipeline import (
     GenerationRequest,
     generation_request_to_dict,
@@ -106,10 +106,10 @@ def test_serialization_round_trip(tmp_path):
 def test_dict_shape():
     mat = render_matrix(parse_progression("C:maj", bpm=120), 50.0)
     doc = chroma_matrix_to_dict(mat)
-    assert doc["format"] == "chroma-matrix/v1"
+    assert doc["format"] == "chroma-matrix/v2"
     assert doc["frames"] == 100
-    assert len(doc["data"]) == 100
-    assert all(len(row) == 12 for row in doc["data"])
+    assert doc["runs"] == [[100, mat.values[0].tolist()]]
+    assert doc["runs"][0][1] == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_from_dict_rejects_frame_count_mismatch():
@@ -176,19 +176,31 @@ def test_render_matches_per_frame_chord_at(seq, rate):
     assert np.array_equal(render_matrix(seq, rate).values, expected)
 
 
+def _reference_runs(matrix: ChromaMatrix) -> list:
+    """Reference: [count, row] runs built one frame and one Python float at a time."""
+    runs = []
+    for row in matrix.values:
+        row = [float(v) for v in row]
+        if runs and list(map(repr, runs[-1][1])) == list(map(repr, row)):
+            runs[-1][0] += 1
+        else:
+            runs.append([1, row])
+    return runs
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
 def test_dict_data_encodes_as_per_float_rows(seed, frames):
-    """Reference: the document's rows built one Python float at a time."""
     rng = np.random.default_rng(seed)
     values = rng.random((frames, 12)) * rng.choice([0.0, 1.0, 1e-300, 7.0], (frames, 12))
     values[rng.random((frames, 12)) < 0.2] = -0.0
     values[0, 0] = -0.0
+    # Runs of up to three frames.
+    values = np.repeat(values, rng.integers(1, 4, frames), axis=0)
     matrix = ChromaMatrix(values, 50.0)
-    reference = {**chroma_matrix_to_dict(matrix)}
-    reference["data"] = [[float(v) for v in row] for row in matrix.values]
+    reference = {**chroma_matrix_to_dict(matrix), "runs": _reference_runs(matrix)}
     encoded = json.dumps(chroma_matrix_to_dict(matrix))
     assert encoded == json.dumps(reference)
-    assert "[-0.0, " in encoded
+    assert ", [-0.0, " in encoded
 
 
 def _reference_csv(matrix: ChromaMatrix) -> str:
@@ -227,31 +239,31 @@ def test_csv_matches_per_value_reference(tmp_path_factory, matrix):
 @given(_repeated_rows())
 @example(_SIGNED_ZERO_ROWS)
 def test_shared_rows_are_the_matrix_rows(matrix):
-    data = chroma_matrix_to_dict(matrix)["data"]
-    expected = matrix.values.tolist()
-    assert data == expected
-    assert [list(map(repr, row)) for row in data] == [list(map(repr, row)) for row in expected]
-    # Rows that differ only in a zero's sign are not shared.
-    bits = matrix.values.view(np.uint64)
-    for k in range(1, len(data)):
-        assert (data[k] is data[k - 1]) == np.array_equal(bits[k], bits[k - 1])
+    # A run's one row stands for each of its frames; rows that differ
+    # only in a zero's sign are separate runs, as the reference keeps them.
+    runs = chroma_matrix_to_dict(matrix)["runs"]
+    assert json.dumps(runs) == json.dumps(_reference_runs(matrix))
+    frames = [row for count, row in runs for _ in range(count)]
+    assert [list(map(repr, row)) for row in frames] == [
+        list(map(repr, row)) for row in matrix.values.tolist()
+    ]
 
 
 @settings(max_examples=300)
 @given(_repeated_rows())
 @example(_SIGNED_ZERO_ROWS)
 @example(_EXTREME_ROWS)
-def test_shared_rows_write_as_json_writes_separate_rows(tmp_path_factory, matrix):
-    doc = chroma_matrix_to_dict(matrix)
-    separate = {**doc, "data": matrix.values.tolist()}
-    expected = json.dumps(separate, indent=2, allow_nan=False) + "\n"
-    assert dumps_document(doc) == expected
+def test_runs_read_back_bit_for_bit(tmp_path_factory, matrix):
+    # ChromaMatrix equality holds -0.0 equal to 0.0; the bytes do not.
     path = tmp_path_factory.mktemp("json") / "chroma.json"
-    dump_document(doc, path)
-    assert path.read_bytes() == expected.encode("ascii")
-    # The live request body: request_generation's compact json.dumps.
-    request = generation_request_to_dict(GenerationRequest("p", 96.0, 10.0, matrix))
-    assert json.dumps(request) == json.dumps({**request, "chroma": separate})
+    write_matrix(matrix, path)
+    assert read_matrix(path).values.tobytes() == matrix.values.tobytes()
+    request = GenerationRequest("p", 96.0, 10.0, matrix)
+    write_generation_request(request, path)
+    assert read_generation_request(path).chroma.values.tobytes() == matrix.values.tobytes()
+    # The live request body, request_generation's compact json.dumps.
+    body = json.loads(json.dumps(generation_request_to_dict(request)))
+    assert chroma_matrix_from_dict(body["chroma"]).values.tobytes() == matrix.values.tobytes()
 
 
 def test_csv_of_many_batches_matches_per_value_reference(tmp_path):
@@ -266,7 +278,7 @@ def test_csv_of_many_batches_matches_per_value_reference(tmp_path):
 def test_zero_frame_matrix_round_trips(tmp_path):
     empty = ChromaMatrix(np.zeros((0, 12)), 50.0)
     doc = chroma_matrix_to_dict(empty)
-    assert doc["frames"] == 0 and doc["data"] == []
+    assert doc["frames"] == 0 and doc["runs"] == []
     assert chroma_matrix_from_dict(doc) == empty
     path = tmp_path / "chroma.json"
     write_matrix(empty, path)
@@ -283,3 +295,43 @@ def test_empty_data_reads_as_zero_frames_only(frames, data):
     doc = {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": frames, "data": data}
     with pytest.raises(FormatError, match="frames by 12"):
         chroma_matrix_from_dict(doc)
+
+
+def test_zero_frame_documents_of_either_version_read(tmp_path):
+    empty = ChromaMatrix(np.zeros((0, 12)), 50.0)
+    for doc in (
+        {"format": "chroma-matrix/v2", "frame_rate_hz": 50.0, "frames": 0, "runs": []},
+        {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": 0, "data": []},
+    ):
+        path = tmp_path / "chroma.json"
+        path.write_text(json.dumps(doc, indent=2))
+        assert read_matrix(path) == empty
+
+
+@pytest.mark.parametrize("frames, runs", [(1, []), (0, [[1, []]]), (0, [[1, [0.0] * 12]])])
+def test_empty_runs_read_as_zero_frames_only(frames, runs):
+    doc = {"format": "chroma-matrix/v2", "frame_rate_hz": 50.0, "frames": frames, "runs": runs}
+    with pytest.raises(FormatError):
+        chroma_matrix_from_dict(doc)
+
+
+def test_v2_rows_read_signed_zeros_and_integers_exactly(tmp_path):
+    # Written by hand: integer items read as the floats they name, and
+    # -0.0 keeps its sign, in runs whose rows are equal as numbers.
+    text = (
+        '{"format": "chroma-matrix/v2", "frame_rate_hz": 50, "frames": 6, "runs": '
+        "[[2, [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], "
+        "[1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]], "
+        "[3, [1, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1, 0.0, 0.0, 0.0, 0.0]]]}"
+    )
+    path = tmp_path / "chroma.json"
+    path.write_text(text)
+    matrix = read_matrix(path)
+    expected = np.zeros((6, 12))
+    expected[:2, 0] = -0.0
+    expected[3:, [0, 4, 7]] = 1.0
+    assert matrix.values.tobytes() == expected.tobytes()
+    assert matrix.frame_rate_hz == 50.0
+    assert chroma_matrix_to_dict(matrix)["runs"] == [
+        [2, expected[0].tolist()], [1, expected[2].tolist()], [3, expected[3].tolist()]
+    ]

@@ -90,8 +90,9 @@ def test_encode_frame_count(tmp_path):
     assert run(["parse", "C:maj G:maj", "--bpm", "120", "--out", str(chords)]) == 0
     assert run(["encode", "--chords", str(chords), "--frame-rate", "50", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "chroma-matrix/v1"
+    assert doc["format"] == "chroma-matrix/v2"
     assert doc["frames"] == 200
+    assert [count for count, _ in doc["runs"]] == [100, 100]
 
 
 def test_zero_frame_encode_reads_back(tmp_path):
@@ -100,7 +101,7 @@ def test_zero_frame_encode_reads_back(tmp_path):
     out = tmp_path / "chroma.json"
     assert run(["parse", "C:maj", "--bpm", "30000", "--out", str(chords)]) == 0
     assert run(["encode", "--chords", str(chords), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["data"] == []
+    assert json.loads(out.read_text())["runs"] == []
     assert read_matrix(out).values.shape == (0, 12)
 
 
@@ -153,8 +154,9 @@ def test_melody_rows_are_one_hot(input_wav, tmp_path):
     out = tmp_path / "melody.json"
     assert run(["melody", str(input_wav), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    rows = np.array(doc["data"])
+    rows = np.array([row for _, row in doc["runs"]])
     assert ((rows.sum(axis=1) == 0) | (rows.sum(axis=1) == 1)).all()
+    assert sum(count for count, _ in doc["runs"]) == doc["frames"]
 
 
 def test_align_warps_to_target_grid(tmp_path):
@@ -181,9 +183,9 @@ def test_remix_dry_run_writes_genreq(input_wav, tmp_path):
     code = run(["remix", str(input_wav), "--prompt", "jazzy", "--dry-run", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "genreq/v1"
+    assert doc["format"] == "genreq/v2"
     assert doc["prompt"] == "jazzy"
-    assert doc["chroma"]["format"] == "chroma-matrix/v1"
+    assert doc["chroma"]["format"] == "chroma-matrix/v2"
 
 
 def test_remix_dry_run_is_byte_identical(input_wav, tmp_path):

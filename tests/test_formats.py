@@ -1,14 +1,13 @@
 import copy
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chordweave import cli, formats
+from chordweave import cli
 from chordweave.beats import (
     BeatGrid,
     beat_grid_from_dict,
@@ -33,7 +32,6 @@ from chordweave.chroma import (
 )
 from chordweave.formats import (
     FormatError,
-    _chunks,
     as_numbers,
     decode,
     dump_document,
@@ -142,11 +140,25 @@ _READERS = {
     ),
 }
 _DELETE = object()
+# The same matrix and request as first-version documents, whose "data"
+# spells out every frame; readers still accept them.
+_V1_MATRIX = {"format": "chroma-matrix/v1", "frame_rate_hz": 2.0, "frames": _MATRIX.n_frames,
+              "data": _MATRIX.values.tolist()}
+_V1 = {
+    "chroma-matrix": _V1_MATRIX,
+    "genreq": {"format": "genreq/v1", "prompt": "p", "bpm": 96.0, "duration_s": 10.0,
+               "chroma": _V1_MATRIX},
+}
 
 
 def _valid(kind: str) -> dict:
     _, to_dict, obj = _READERS[kind]
     return to_dict(obj)
+
+
+def _document(kind: str, path) -> dict:
+    """The valid document a field path belongs to: the v1 one for a path through "data"."""
+    return copy.deepcopy(_V1[kind]) if "data" in path else _valid(kind)
 
 
 def _replaced(doc, path, value):
@@ -172,9 +184,20 @@ def _field_paths(doc, prefix=()):
 
 
 _THREE_DEEP = [[[0.0] * 12]] * _MATRIX.n_frames
+_ROW = [0.0] * 12
+# The number of frames a run may claim in a document of a few bytes:
+# expanded, 96 TB, so a check made after the expansion fails at once.
+_HUGE_COUNT = 10**12
 
-
-_HOSTILE = [
+# Hostile first-version fields, each applied to the v1 document.
+_HOSTILE_V1 = [
+    ("chroma-matrix", ("data", 1), [0.0] * 11),
+    ("chroma-matrix", ("data",), _THREE_DEEP),
+    ("chroma-matrix", ("data",), "rows"),
+    ("chroma-matrix", ("data", 0, 0), 10**400),
+    ("genreq", ("chroma", "data", 0), [0.0] * 13),
+]
+_HOSTILE = _HOSTILE_V1 + [
     ("chord-seq", ("events", 0, "chord"), 5),
     ("chord-seq", ("events", 0, "start_s"), math.inf),
     ("chord-seq", ("events", 1), _DELETE),
@@ -187,10 +210,26 @@ _HOSTILE = [
     ("chroma-matrix", ("frame_rate_hz",), math.inf),
     ("chroma-matrix", ("frames",), "x"),
     ("chroma-matrix", ("frames",), 10**400),
-    ("chroma-matrix", ("data", 1), [0.0] * 11),
-    ("chroma-matrix", ("data",), _THREE_DEEP),
-    ("chroma-matrix", ("data",), "rows"),
-    ("chroma-matrix", ("data", 0, 0), 10**400),
+    ("chroma-matrix", ("frames",), _HUGE_COUNT),
+    ("chroma-matrix", ("frames",), -1),
+    ("chroma-matrix", ("runs", 1, 1), [0.0] * 11),
+    ("chroma-matrix", ("runs", 0, 1), [_ROW]),
+    ("chroma-matrix", ("runs",), "rows"),
+    ("chroma-matrix", ("runs",), {"5": _ROW}),
+    ("chroma-matrix", ("runs", 0, 1, 0), 10**400),
+    ("chroma-matrix", ("runs", 0), [5]),
+    ("chroma-matrix", ("runs", 1), [2, _ROW, 1]),
+    ("chroma-matrix", ("runs", 2), "3"),
+    ("chroma-matrix", ("runs", 0), {"count": 5, "row": _ROW}),
+    ("chroma-matrix", ("runs", 0, 0), _HUGE_COUNT),
+    ("chroma-matrix", ("runs", 0, 0), 10**400),
+    ("chroma-matrix", ("runs", 0, 0), 4),
+    ("chroma-matrix", ("runs",), [[_HUGE_COUNT, _ROW]]),
+    # Counts that sum to the 15 frames, with one that is not a positive integer.
+    ("chroma-matrix", ("runs",), [[0, _ROW], [15, _ROW]]),
+    ("chroma-matrix", ("runs",), [[-_HUGE_COUNT, _ROW], [_HUGE_COUNT + 15, _ROW]]),
+    ("chroma-matrix", ("runs",), [[2.5, _ROW], [12.5, _ROW]]),
+    ("chroma-matrix", ("runs",), [[True, _ROW], [14, _ROW]]),
     ("beat-grid", ("bpm",), "x"),
     ("beat-grid", ("bpm",), math.nan),
     ("beat-grid", ("beats_s",), 5),
@@ -199,7 +238,8 @@ _HOSTILE = [
     ("beat-grid", ("downbeats_s",), _DELETE),
     ("genreq", ("chroma",), 5),
     ("genreq", ("chroma", "format"), "beat-grid/v1"),
-    ("genreq", ("chroma", "data", 0), [0.0] * 13),
+    ("genreq", ("chroma", "runs", 0, 1), [0.0] * 13),
+    ("genreq", ("chroma", "runs", 3, 0), _HUGE_COUNT),
     ("genreq", ("bpm",), [120.0]),
     ("genreq", ("duration_s",), -math.inf),
     ("genreq", ("prompt",), _DELETE),
@@ -216,20 +256,31 @@ def _case_id(kind, path, value):
 def test_hostile_field_raises_format_error(kind, path, value):
     from_dict = _READERS[kind][0]
     with pytest.raises(FormatError):
-        from_dict(_replaced(_valid(kind), path, value))
+        from_dict(_replaced(_document(kind, path), path, value))
 
 
 # Fields of a wrong JSON type that a plain float(), int() or str() would
 # coerce into a valid-looking object.
-_MISTYPED = [
+_MISTYPED_V1 = [
+    ("genreq", ("chroma", "data", 0, 0), "1"),
+    ("chroma-matrix", ("data", 0, 0), "1"),
+    ("chroma-matrix", ("data",), [[True] * 12] * _MATRIX.n_frames),
+    # A boolean among numbers, where NumPy would read it as the 1.0 or 0.0 it replaces.
+    ("chroma-matrix", ("data", 0, 0), True),
+    ("chroma-matrix", ("data", 0, 1), False),
+    ("genreq", ("chroma", "data", 0, 0), True),
+]
+_MISTYPED = _MISTYPED_V1 + [
     ("genreq", ("prompt",), None),
     ("genreq", ("prompt",), 7),
     ("genreq", ("bpm",), True),
     ("genreq", ("bpm",), "96"),
     ("genreq", ("duration_s",), "10"),
-    ("genreq", ("chroma", "data", 0, 0), "1"),
-    ("chroma-matrix", ("data", 0, 0), "1"),
-    ("chroma-matrix", ("data",), [[True] * 12] * _MATRIX.n_frames),
+    ("genreq", ("chroma", "runs", 0, 1, 0), "1"),
+    ("chroma-matrix", ("runs", 0, 1, 0), "1"),
+    ("chroma-matrix", ("runs", 0, 1), [True] * 12),
+    ("chroma-matrix", ("runs", 0, 0), "5"),
+    ("chroma-matrix", ("runs", 0, 0), None),
     ("chroma-matrix", ("frames",), _MATRIX.n_frames + 0.9),
     ("chroma-matrix", ("frames",), True),
     ("chroma-matrix", ("frame_rate_hz",), True),
@@ -245,9 +296,9 @@ _MISTYPED = [
     ("beat-grid", ("beats_s", 1), "0.5"),
     ("beat-grid", ("downbeats_s",), [[0.0], [2.0]]),
     # A boolean among numbers, where NumPy would read it as the 1.0 or 0.0 it replaces.
-    ("chroma-matrix", ("data", 0, 0), True),
-    ("chroma-matrix", ("data", 0, 1), False),
-    ("genreq", ("chroma", "data", 0, 0), True),
+    ("chroma-matrix", ("runs", 0, 1, 0), True),
+    ("chroma-matrix", ("runs", 0, 1, 1), False),
+    ("genreq", ("chroma", "runs", 0, 1, 0), True),
     ("beat-grid", ("beats_s", 2), True),
     ("beat-grid", ("downbeats_s", 0), False),
 ]
@@ -257,7 +308,7 @@ _MISTYPED = [
 def test_mistyped_field_raises_format_error(kind, path, value):
     from_dict = _READERS[kind][0]
     with pytest.raises(FormatError):
-        from_dict(_replaced(_valid(kind), path, value))
+        from_dict(_replaced(_document(kind, path), path, value))
 
 
 @pytest.mark.parametrize(
@@ -267,12 +318,30 @@ def test_mistyped_field_raises_format_error(kind, path, value):
         ("chord-seq", ("time_signature",), [4.0, 4]),
         ("beat-grid", ("beats_per_bar",), 4.0),
         ("genreq", ("bpm",), 96),
+        ("chroma-matrix", ("runs", 0, 0), 5.0),
+        ("chroma-matrix", ("runs", 3, 1), [0] * 12),
     ],
-    ids=["frames", "time_signature", "beats_per_bar", "int-bpm"],
+    ids=["frames", "time_signature", "beats_per_bar", "int-bpm", "run-count", "int-row"],
 )
 def test_integral_numbers_read_either_way(kind, path, value):
     from_dict, _, obj = _READERS[kind]
     assert from_dict(_replaced(_valid(kind), path, value)) == obj
+
+
+def test_frames_past_max_frames_refused_before_expanding(monkeypatch):
+    # Runs that agree with "frames": only the limit refuses them.
+    doc = {**_valid("chroma-matrix"), "frames": _HUGE_COUNT, "runs": [[_HUGE_COUNT, _ROW]]}
+    with pytest.raises(FormatError, match="outside"):
+        chroma_matrix_from_dict(doc)
+    valid = _valid("chroma-matrix")
+    monkeypatch.setattr("chordweave.chroma.MAX_FRAMES", _MATRIX.n_frames)
+    assert chroma_matrix_from_dict(valid) == _MATRIX
+    monkeypatch.setattr("chordweave.chroma.MAX_FRAMES", _MATRIX.n_frames - 1)
+    with pytest.raises(FormatError, match="outside"):
+        chroma_matrix_from_dict(valid)
+    # No document is written that the reader would refuse.
+    with pytest.raises(ValueError, match="more than a document holds"):
+        chroma_matrix_to_dict(_MATRIX)
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
@@ -296,7 +365,8 @@ _JSON_VALUES = st.recursive(
 @st.composite
 def _mutated_document(draw):
     kind = draw(st.sampled_from(sorted(_READERS)))
-    path = draw(st.sampled_from(sorted(_field_paths(_valid(kind)), key=repr)))
+    paths = set(_field_paths(_valid(kind))) | set(_field_paths(_V1.get(kind, {})))
+    path = draw(st.sampled_from(sorted(paths, key=repr)))
     return kind, path, draw(_JSON_VALUES)
 
 
@@ -306,11 +376,13 @@ def _mutated_document(draw):
 @example(("genreq", ("chroma",), 5))
 @example(("beat-grid", ("bpm",), 10**400))
 @example(("chroma-matrix", ("data", 0, 0), 10**400))
+@example(("chroma-matrix", ("runs", 0, 0), _HUGE_COUNT))
+@example(("chroma-matrix", ("runs", 0, 1), [_HUGE_COUNT] * 12))
 def test_mutated_documents_decode_valid_or_raise_format_error(case):
     kind, path, value = case
     from_dict, to_dict, obj = _READERS[kind]
     try:
-        decoded = from_dict(_replaced(_valid(kind), path, value))
+        decoded = from_dict(_replaced(_document(kind, path), path, value))
     except FormatError:
         return
     assert type(decoded) is type(obj)
@@ -415,19 +487,6 @@ _LONG_MATRIX = render_matrix(_LONG_SEQ, 50.0)
 _LONG_REQUEST = GenerationRequest("laid-back jazz trio", 120.0, _LONG_SEQ.duration_s, _LONG_MATRIX)
 
 
-def test_request_written_row_by_row():
-    assert _LONG_MATRIX.n_frames == 12_000
-    doc = generation_request_to_dict(_LONG_REQUEST)
-    pieces = list(_chunks(doc, ""))
-    # A row as it sits in the document, three levels deep: 6 more spaces on each line after its first.
-    rows = doc["chroma"]["data"]
-    longest_row = max(len(json.dumps(row, indent=2).replace("\n", "\n" + " " * 6)) for row in rows)
-    assert max(map(len, pieces)) <= longest_row
-    # One piece per row and one per separator, not one per number.
-    assert _LONG_MATRIX.n_frames < len(pieces) < 3 * _LONG_MATRIX.n_frames
-    _assert_same_text("".join(pieces) + "\n", _stdlib(doc))
-
-
 _RNG = np.random.default_rng(11)
 _LONG_WRITERS = {
     "genreq": (write_generation_request, generation_request_to_dict, _LONG_REQUEST),
@@ -460,39 +519,21 @@ def test_cli_stdout_matches_json(capsys):
     _assert_same_text(capsys.readouterr().out, _stdlib(doc))
 
 
-def test_request_file_write_never_holds_the_whole_text(tmp_path):
-    doc = generation_request_to_dict(_LONG_REQUEST)
-    size = len(dumps_document(doc))
-    tracemalloc.start()
-    try:
-        dump_document(doc, tmp_path / "request.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < size // 20
-
-
-def test_request_rows_encoded_once_per_run(tmp_path, monkeypatch):
+def test_request_rows_encoded_once_per_run(tmp_path):
     values = _LONG_MATRIX.values
     runs = 1 + np.count_nonzero(np.any(values[1:] != values[:-1], axis=1))
     assert runs < _LONG_MATRIX.n_frames // 10
-    float_row, calls = formats._float_row, []
-
-    def counted(value, indent):
-        calls.append(value)
-        return float_row(value, indent)
-
-    monkeypatch.setattr(formats, "_float_row", counted)
-    write_generation_request(_LONG_REQUEST, tmp_path / "request.json")
-    # Once per run, and once for the list of rows itself, which is not a float row.
-    assert len(calls) == runs + 1
-    assert len(calls[0]) == _LONG_MATRIX.n_frames
-    assert all(len(row) == 12 for row in calls[1:])
+    path = tmp_path / "request.json"
+    write_generation_request(_LONG_REQUEST, path)
+    written = json.loads(path.read_text())["chroma"]["runs"]
+    assert len(written) == runs
+    assert sum(count for count, _ in written) == _LONG_MATRIX.n_frames
+    # One row's text per run: a 12-item row takes 13 lines, each under 30 bytes.
+    assert path.stat().st_size < runs * 13 * 30
 
 
 # The reader against the standard library: load_document gives what
-# json.loads gives, type for type, or the FormatError the whole-text
-# parse raises, whether or not it reads the rows once per distinct text.
+# json.loads gives, type for type, or raises FormatError.
 
 _READ = {
     "chord-seq": read_chord_sequence,
@@ -505,7 +546,7 @@ _READ = {
 @pytest.mark.parametrize("kind", sorted(_READ))
 def test_undecodable_bytes_raise_format_error(tmp_path, kind):
     path = tmp_path / "doc.json"
-    path.write_bytes(dumps_document(_valid(kind)).encode("ascii").replace(b"/v1", b"/v1\xff", 1))
+    path.write_bytes(dumps_document(_valid(kind)).encode("ascii").replace(b"/v", b"/v\xff", 1))
     with pytest.raises(FormatError, match="not UTF-8"):
         _READ[kind](path)
 
@@ -518,10 +559,9 @@ def test_deep_nesting_raises_format_error(tmp_path):
     path.write_text(_DEEP)
     with pytest.raises(FormatError, match="nested too deeply"):
         load_document(path)
-    # The same depth beside a list of rows, which is read apart first.
+    # The same depth inside a request.
     text = dumps_document(_valid("genreq"))
     text = text[: -len("\n}\n")] + ',\n  "deep": ' + _DEEP + "\n}\n"
-    assert formats._load_rows(text) is None
     path.write_text(text)
     with pytest.raises(FormatError, match="nested too deeply"):
         load_document(path)
@@ -547,12 +587,28 @@ def test_huge_integer_in_a_shared_row_raises_format_error(tmp_path):
     path = tmp_path / "request.json"
     write_generation_request(_LONG_REQUEST, path)
     text = path.read_text()
-    assert formats._load_rows(text) is not None
-    # The first item of the first row, which _load_rows parses apart.
-    at = text.index("1.0", text.index('"data"'))
+    # The first item of the first run's row, which stands for all the run's frames.
+    at = text.index("1.0", text.index('"runs"'))
     path.write_text(text[:at] + _HUGE_INTEGER + text[at + len("1.0"):])
     with pytest.raises(FormatError):
         read_generation_request(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_V1))
+def test_v1_documents_still_read(tmp_path, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_V1[kind], indent=2) + "\n")
+    assert _READ[kind](path) == _READERS[kind][2]
+
+
+def test_long_v1_request_still_reads(tmp_path):
+    doc = generation_request_to_dict(_LONG_REQUEST)
+    doc = {**doc, "format": "genreq/v1", "chroma": {
+        "format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": _LONG_MATRIX.n_frames,
+        "data": _LONG_MATRIX.values.tolist()}}
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert read_generation_request(path) == _LONG_REQUEST
 
 
 def _typed(value):
@@ -633,167 +689,52 @@ def _document_text(draw):
 
 
 def _rows_text(*items):
-    """Runs of six one-item rows, laid out as dump_document lays out rows one level down."""
+    """Runs of six one-item rows, laid out as json.dumps(indent=2) lays out rows one level down."""
     rows = [item for item in items for _ in range(6)]
     return "[\n  [\n    " + "\n  ],\n  [\n    ".join(rows) + "\n  ]\n]"
 
 
-# Texts whose rows are read apart.
-_ROWS_SIGNED_ZERO = _rows_text("0.0", "-0.0", "0", "0.0")
-_ROWS_TOP_LEVEL = _rows_text("1", "2", "1")
-_ROWS_OVERFLOW = _rows_text("1", "1e999")
-
-
-def _runs_text(*runs):
-    """The document {"data": rows} as dump_document writes it, its rows given as (row, count) runs."""
-    return dumps_document({"data": [row for row, count in runs for _ in range(count)]})
-
-
-# Texts whose rows are walked run by run: neighbouring row texts that are
-# prefixes of each other, runs that touch the first and the last row, and
-# one row text in two runs apart.
-_ROWS_PREFIXES = _runs_text(([0.5, 0.1], 4), ([0.5, 0.125], 4), ([0.5, 0.1], 4),
-                            ([0.5, 0.1, 2.0], 4), ([0.5], 4))
-_ROWS_AT_BOTH_ENDS = _runs_text(([1.0], 4), ([2.0], 4), ([1.0], 4), ([2.0], 4))
-_ROWS_A_B_A = _runs_text(([0.5], 5), ([1.5], 5), ([0.5], 5))
-# The text between two of a request's rows, inside its prompt.
-_ROW_BREAK_PROMPT = "x\n      ],\n      [\ny"
-_ROW_BREAK_REQUEST = GenerationRequest(
-    _ROW_BREAK_PROMPT, 120.0, 0.36, ChromaMatrix(np.repeat(np.eye(12)[:3], 6, axis=0), 50.0)
-)
-_REQUEST_WITH_ROW_BREAK = dumps_document(generation_request_to_dict(_ROW_BREAK_REQUEST))
+def _no_constant(name):
+    raise ValueError(name)
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_document_text())
-@example('{"data": ' + _ROWS_SIGNED_ZERO + '}\n')
+@example('{"data": ' + _rows_text("0.0", "-0.0", "0", "0.0") + '}\n')
 @example('{"a": "' + _rows_text("1") + '"}')
 @example('{"a": ' + _rows_text("1", "2") + ', "b": NaN}')
-@example(_ROWS_TOP_LEVEL)
+@example(_rows_text("1", "2", "1"))
+@example(_rows_text("1", "1e999"))
 @example('{"a": {[\n  1\n  ],\n  [\n  2\n  ]\n]}')
-@example('{"a": [[\n  1\n  ],\n  [\n  2\n  ]\n}}')
-@example(_ROWS_OVERFLOW)
-@example('{"a": ' + _rows_text("1", "1 2") + '}')
-@example(_ROWS_PREFIXES)
-@example(_ROWS_AT_BOTH_ENDS)
-@example(_ROWS_A_B_A)
-@example(_REQUEST_WITH_ROW_BREAK)
 def test_load_document_reads_as_json_loads(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
-    outcome = _outcome(path)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_load_rows", lambda text: None)
-        assert outcome == _outcome(path)
-    if outcome[0] == "value":
-        assert outcome[1] == _typed(json.loads(text))
+    try:
+        expected = json.loads(text, parse_constant=_no_constant)
+    except ValueError:
+        expected = None
+    if isinstance(expected, dict):
+        assert _outcome(path) == ("value", _typed(expected))
+    else:
+        assert _outcome(path)[0] == "error"
 
 
-def test_written_request_rows_parsed_once_per_distinct_row(tmp_path, monkeypatch):
-    path = tmp_path / "request.json"
-    write_generation_request(_LONG_REQUEST, path)
-    distinct = len({json.dumps(row) for row in generation_request_to_dict(_LONG_REQUEST)["chroma"]["data"]})
-    assert distinct < _LONG_MATRIX.n_frames // 100
-    loads, texts = json.loads, []
-
-    def counted(text, **kwargs):
-        texts.append(text)
-        return loads(text, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counted)
-    doc = load_document(path)
-    monkeypatch.undo()
-    # One parse per distinct row text and one of the rest; never the whole text.
-    assert len(texts) == distinct + 1
-    assert max(map(len, texts)) < path.stat().st_size // 100
-    assert len({id(row) for row in doc["chroma"]["data"]}) == distinct
-    assert _typed(doc) == _typed(json.loads(path.read_text()))
-
-
-@pytest.mark.parametrize("text", ['{"data": ' + _ROWS_SIGNED_ZERO + "}", _ROWS_TOP_LEVEL, _ROWS_OVERFLOW])
-def test_repeated_rows_read_apart(text):
-    assert _typed(formats._load_rows(text)) == _typed(json.loads(text))
-
-
-@pytest.mark.parametrize("run, apart", [(1, False), (2, False), (4, True)])
-def test_rows_read_apart_only_when_repeated(tmp_path, run, apart):
-    # Noise: no two frames alike until each is repeated `run` times.
-    values = np.repeat(np.random.default_rng(0).random((600, 12)), run, axis=0)
-    path = tmp_path / "matrix.json"
-    write_matrix(ChromaMatrix(values, 50.0), path)
-    assert (formats._load_rows(path.read_text()) is not None) == apart
-    assert read_matrix(path).values.tobytes() == values.tobytes()
-
-
-_DISTINCT_ROWS = [[float(i)] for i in range(600)]
-
-
-@pytest.mark.parametrize("rows, apart", [
-    # Rows 2 to 32 may hold at most ten distinct texts (31 / 3), whatever follows,
-    (_DISTINCT_ROWS[:11] + [[0.5]] * 1000, False),
-    (_DISTINCT_ROWS[:10] + [[0.5]] * 1000, True),
-    # and all the rows at most a third as many as there are rows.
-    ([[0.5]] * 40 + _DISTINCT_ROWS, False),
-    ([[0.5]] * 100 + _DISTINCT_ROWS[:30], True),
-], ids=["11-texts-first", "10-texts-first", "601-texts-in-640", "31-texts-in-130"])
-def test_rows_read_apart_when_each_text_stands_for_three(rows, apart):
-    assert (formats._load_rows(dumps_document({"data": rows})) is not None) == apart
-
-
-def _walked(text):
-    """_load_rows(text), which must read the rows apart and give what json.loads gives."""
-    doc = formats._load_rows(text)
-    assert doc is not None
-    assert _typed(doc) == _typed(json.loads(text))
-    return doc
-
-
-def test_rows_whose_texts_are_prefixes_stay_apart():
-    data = _walked(_ROWS_PREFIXES)["data"]
-    assert [len(row) for row in data] == [2] * 12 + [3] * 4 + [1] * 4
-    assert len({id(row) for row in data}) == 4
-
-
-def test_runs_at_both_ends_share_the_middle_rows_object():
-    data = _walked(_ROWS_AT_BOTH_ENDS)["data"]
-    first, last = data[0], data[-1]
-    assert all(row is first for row in data[:4] + data[8:12])
-    assert all(row is last for row in data[4:8] + data[12:])
-
-
-def test_row_text_in_a_later_run_keeps_its_object():
-    data = _walked(_ROWS_A_B_A)["data"]
-    assert len({id(row) for row in data[:5] + data[10:]}) == 1
-    assert len({id(row) for row in data}) == 2
+# The text between two rows of a written document, inside a prompt.
+_ROW_BREAK_PROMPT = "x\n      ],\n      [\ny"
 
 
 def test_row_break_inside_the_prompt_leaves_the_request_unchanged(tmp_path):
-    # A string holds the break's newlines escaped, so only the rows match it.
-    assert _ROW_BREAK_PROMPT.replace("\n", "\\n") in _REQUEST_WITH_ROW_BREAK
-    assert len({id(row) for row in _walked(_REQUEST_WITH_ROW_BREAK)["chroma"]["data"]}) == 3
+    request = GenerationRequest(
+        _ROW_BREAK_PROMPT, 120.0, 0.36, ChromaMatrix(np.repeat(np.eye(12)[:3], 6, axis=0), 50.0)
+    )
     path = tmp_path / "request.json"
-    path.write_text(_REQUEST_WITH_ROW_BREAK)
-    request = read_generation_request(path)
-    assert request.prompt == _ROW_BREAK_PROMPT
-    assert request.chroma == _ROW_BREAK_REQUEST.chroma
+    write_generation_request(request, path)
+    # A string holds the break's newlines escaped, so only the rows match it.
+    assert _ROW_BREAK_PROMPT.replace("\n", "\\n") in path.read_text()
+    assert read_generation_request(path) == request
 
 
-@pytest.mark.parametrize("block_chars", [1, 7, formats._BLOCK_CHARS])
-def test_repeats_counts_every_run_length(monkeypatch, block_chars):
-    monkeypatch.setattr(formats, "_BLOCK_CHARS", block_chars)
-    for n in range(70):
-        assert formats._repeats("x" + "ab" * n + "a", "ab", 1) == n
-
-
-@pytest.mark.parametrize("block_chars", [1, formats._BLOCK_CHARS])
-def test_every_run_length_reads_as_json_loads(monkeypatch, block_chars):
-    monkeypatch.setattr(formats, "_BLOCK_CHARS", block_chars)
-    for n in range(1, 70):
-        data = _walked(_runs_text(([0.5], n), ([0.25], 4), ([0.5], 4)))["data"]
-        assert len({id(row) for row in data}) == 2
-
-
-# as_numbers on rows shared as load_document shares them.
+# as_numbers on rows that are one and the same list object.
 
 
 def test_as_numbers_checks_shared_rows():

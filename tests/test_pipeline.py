@@ -148,8 +148,8 @@ def test_request_serialization_round_trip(bundle, tmp_path):
     assert again.bpm == req.bpm
     assert again.chroma == req.chroma
     doc = generation_request_to_dict(req)
-    assert doc["format"] == "genreq/v1"
-    assert doc["chroma"]["format"] == "chroma-matrix/v1"
+    assert doc["format"] == "genreq/v2"
+    assert doc["chroma"]["format"] == "chroma-matrix/v2"
     assert generation_request_from_dict(doc).duration_s == req.duration_s
 
 
@@ -179,7 +179,8 @@ def test_live_loopback_returns_stub_audio(bundle, stub_server):
     assert got.sample_rate == SR
     assert got.n_samples == click_track(126.0, 8.0, SR).n_samples
     sent = json.loads(state["requests"][0])
-    assert sent["format"] == "genreq/v1"
+    assert sent["format"] == "genreq/v2"
+    assert sent["chroma"] == chroma_matrix_to_dict(req.chroma)
     assert sent["prompt"] == "test prompt"
 
 
