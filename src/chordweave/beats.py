@@ -1,9 +1,12 @@
-"""Onset strength, tempo estimation, and rigid-grid beat tracking.
+"""Onset strength, tempo estimation, and least-squares beat-grid fitting.
 
-Tempo comes from the autocorrelation of a spectral-flux onset envelope
-with parabolic peak refinement; beats are then laid out on a rigid grid
-whose phase maximises onset energy.  That is a deliberately simple model
-aimed at steady-tempo material.
+Tempo comes from the autocorrelation of a spectral-flux onset envelope,
+read exactly at the lags of the tempo range, with parabolic peak
+refinement.  That tempo seeds a rigid grid whose period and phase are
+then fitted to the envelope's onsets by weighted least squares, in the
+manner of Ellis's beat-grid fitting ("Beat Tracking by Dynamic
+Programming", JNMR 2007) without the dynamic programming.  That is a
+deliberately simple model aimed at steady-tempo material.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ DEFAULT_MAX_BPM = 200.0
 # it win over a raw peak outside it.
 _PREFERRED_BPM_LO = 90.0
 _PREFERRED_BPM_HI = 180.0
-_OCTAVE_STRENGTH = 0.95
-# How far below a window's FFT-autocorrelation maximum, as a fraction of
-# lag 0, a lag is still read exactly when picking the window's peak: far
-# above the FFT's round-off, far below real differences between lags.
-_AUTOCORRELATION_SLACK = 1e-9
+_OCTAVE_STRENGTH = 0.5
+# track_beats finds the phase on this many beats at the clip's centre,
+# reads each beat within this fraction of a period of the fitted line,
+# and grows the fitted window by this fraction on each side per pass.
+_PHASE_WINDOW_BEATS = 16
+_BEAT_REACH = 0.2
+_WINDOW_GROWTH = 0.25
 
 
 class NoTempoError(ValueError):
@@ -51,8 +56,8 @@ class OnsetEnvelope:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("onset envelope must be 1-D")
-        if np.any(values < 0):
-            raise ValueError("onset strengths must be >= 0")
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError("onset strengths must be finite and >= 0")
         if self.frame_rate_hz <= 0:
             raise ValueError("frame_rate_hz must be > 0")
         values = values.copy()
@@ -113,10 +118,14 @@ def estimate_bpm(
 ) -> float:
     """Tempo from the envelope's autocorrelation peak, in [min_bpm, max_bpm].
 
-    The envelope must cover at least 4 seconds.  The integer-lag peak is
-    refined by parabolic interpolation; a half- or double-lag peak of at
-    least 95% the strength replaces it when that moves the tempo into
-    [90, 180).  A flat envelope raises NoTempoError.
+    The envelope must cover at least 4 seconds.  Only the lags of the
+    tempo range, and one either side, are read, each as the exact sum of
+    lag products; the first maximum is refined by parabolic
+    interpolation.  When its tempo lies outside [90, 180), the best of
+    the three lags around the half or the double lag replaces it if that
+    lag holds at least half the peak's value and its tempo lies inside.
+    The result seeds track_beats, which fits the period itself.  A flat
+    envelope raises NoTempoError.
     """
     if not 0 < min_bpm < max_bpm:
         raise ValueError("need 0 < min_bpm < max_bpm")
@@ -128,80 +137,39 @@ def estimate_bpm(
     if not np.any(x):
         raise NoTempoError("envelope is flat; no periodicity to measure")
     n = envelope.n_frames
-    # The FFT autocorrelation locates peaks in O(n log n); its values are
-    # off by round-off of order eps * log(n) * ac[0].  Every value the
-    # tempo is computed from is then read exactly, as the direct sum of
-    # lag products, so the tempo does not depend on that round-off.  An
-    # FFT size of at least 2n - 1 keeps the circular wrap off lags < n.
-    n_fft = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(x, n_fft)
-    approx = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n_fft)[:n]
-    slack = _AUTOCORRELATION_SLACK * approx[0]
-
-    def ac(k: int) -> float:
-        return float(np.dot(x[k:], x[: n - k]))
-
-    def peak(lo: int, hi: int) -> int:
-        """The first lag in lo..hi whose exact value is largest.
-
-        A lag that the FFT puts more than `slack` below the window's
-        maximum is below it exactly too, so only the rest are read.
-        """
-        window = approx[lo : hi + 1]
-        return max((lo + np.flatnonzero(window >= window.max() - slack)).tolist(), key=ac)
-
     rate = envelope.frame_rate_hz
     lo = max(int(np.ceil(60.0 * rate / max_bpm)), 1)
     hi = min(int(np.floor(60.0 * rate / min_bpm)), n - 2)
     if lo > hi:
         raise NoTempoError("envelope too short for the requested tempo range")
-    lag = peak(lo, hi)
-    bpm_at = lambda k: 60.0 * rate / k
-    if not _PREFERRED_BPM_LO <= bpm_at(lag) < _PREFERRED_BPM_HI:
+    # ac[k - lo + 1] is the sum of lag-k products, for k in lo-1..hi+1.
+    ac = np.array([np.dot(x[k:], x[: n - k]) for k in range(lo - 1, hi + 2)])
+
+    def at(k: int) -> float:
+        return float(ac[k - lo + 1])
+
+    def preferred(k: int) -> bool:
+        return _PREFERRED_BPM_LO <= 60.0 * rate / k < _PREFERRED_BPM_HI
+
+    lag = lo + int(np.argmax(ac[1:-1]))
+    if not preferred(lag):
         for candidate in (int(round(lag / 2)), lag * 2):
-            if (
-                lo <= candidate <= hi
-                and ac(candidate) >= _OCTAVE_STRENGTH * ac(lag)
-                and _PREFERRED_BPM_LO <= bpm_at(candidate) < _PREFERRED_BPM_HI
-            ):
-                lag = candidate
+            near = [k for k in (candidate - 1, candidate, candidate + 1) if lo <= k <= hi]
+            best = max(near, key=at, default=None)
+            if best is not None and at(best) >= _OCTAVE_STRENGTH * at(lag) and preferred(best):
+                lag = best
                 break
-    refined = lag + _parabolic_offset(ac(lag - 1), ac(lag), ac(lag + 1))
-    # Tighten the sub-frame estimate with the peak's in-range multiples:
-    # the localization error at the m-th multiple divides by m, so a
-    # least-squares fit over all of them keeps a rigid grid built from
-    # this tempo from drifting across a whole clip.  Each multiple is
-    # read as the mass centroid of its local peak (sharp envelopes split
-    # their mass across adjacent lags, which parabolic fits misplace).
-    # Multiples are used only up to half the envelope, where correlation
-    # support is still real, and only where they confirm the winning lag.
-    num = refined
-    den = 1.0
-    half = max(lag // 2, 2)
-    for m in range(2, (n // 2) // lag + 1):
-        center = int(round(m * refined))
-        w_lo = max(center - half, 1)
-        w_hi = min(center + half, n - 2)
-        if w_lo >= w_hi:
-            break
-        top = peak(w_lo, w_hi)
-        if abs(top / m - refined) > 1.0:
-            continue
-        lags = np.arange(max(top - 2, 1), min(top + 2, n - 2) + 1)
-        weights = np.clip([ac(k) for k in lags], 0.0, None)
-        if weights.sum() <= 0.0:
-            continue
-        num += m * float((lags * weights).sum() / weights.sum())
-        den += m * m
-    return float(np.clip(60.0 * rate / (num / den), min_bpm, max_bpm))
+    refined = lag + float(_parabolic_offset(at(lag - 1), at(lag), at(lag + 1)))
+    return float(np.clip(60.0 * rate / refined, min_bpm, max_bpm))
 
 
-def _parabolic_offset(y_prev: float, y_mid: float, y_next: float) -> float:
-    """Offset in [-1/2, 1/2] of the extremum of the parabola through y at -1, 0, 1."""
+def _parabolic_offset(y_prev, y_mid, y_next):
+    """Offset in [-1/2, 1/2] of the extremum of the parabola through y at
+    -1, 0, 1; 0 where the three are collinear.  Elementwise on arrays."""
     denom = y_prev - 2.0 * y_mid + y_next
-    if denom == 0:
-        return 0.0
-    return float(np.clip(0.5 * (y_prev - y_next) / denom, -0.5, 0.5))
+    flat = denom == 0
+    offset = 0.5 * (y_prev - y_next) / np.where(flat, 1.0, denom)
+    return np.where(flat, 0.0, np.clip(offset, -0.5, 0.5))
 
 
 @dataclass(frozen=True)
@@ -252,12 +220,17 @@ class BeatGrid:
 def track_beats(
     envelope: OnsetEnvelope, bpm: float, beats_per_bar: int = 4
 ) -> BeatGrid:
-    """Place a rigid beat grid at the phase with maximal onset energy.
+    """Fit a rigid beat grid, beat k at frame a + b*k, to the envelope's onsets.
 
-    Candidate phases are the envelope's frame times inside one period;
-    each is scored by summing the envelope at the frames nearest its
-    beats (first maximum wins).  The downbeat offset likewise maximises
-    mean onset strength.  The clip must cover at least one bar.
+    The phase comes from 16 beats at bpm around the clip's centre (all
+    of it if it holds fewer).  Each pass then reads every beat of the
+    window as the envelope's maximum within 0.2 period of the line,
+    refined by a parabola, and refits a and b by least squares, each beat
+    weighted by the square root of its height over the window's highest.
+    The window grows by a quarter on each side per pass until it covers
+    the clip.  The downbeat offset maximises mean onset strength near
+    the beats, and the grid carries the fitted tempo.  The clip must
+    cover at least one bar at bpm.
     """
     if not 0 < bpm < np.inf:
         raise ValueError("bpm must be finite and > 0")
@@ -271,42 +244,57 @@ def track_beats(
         )
     rate = envelope.frame_rate_hz
     values = envelope.values
+    n = envelope.n_frames
 
-    def beats_from(phase: float) -> np.ndarray:
-        count = int(np.floor((duration - phase) / period)) + 1
-        return phase + period * np.arange(count)
+    # Beat k sits at frame a + b * k.  The first a is the window's start
+    # plus the frame offset, inside one period, whose beats' nearest
+    # frames hold the most onset strength.
+    b = period * rate
+    count = min(_PHASE_WINDOW_BEATS, int((n - 1) / b) + 1)
+    start = max((n - count * b) // 2, 0.0)
+    offsets = np.arange(int(np.ceil(b)))
+    idx = np.rint(start + offsets[:, None] + b * np.arange(count)).astype(np.int64)
+    a = start + offsets[int(np.argmax(values[np.minimum(idx, n - 1)].sum(axis=1)))]
 
-    def score(times: np.ndarray) -> float:
-        idx = np.clip(np.rint(times * rate).astype(np.int64), 0, envelope.n_frames - 1)
-        return float(values[idx].sum())
-
-    best_phase = 0.0
-    best_score = -np.inf
-    for j in range(int(np.ceil(period * rate))):
-        phase = j / rate
-        if phase >= period:
+    first, last, covered = 0, count - 1, False
+    while True:
+        k = np.arange(first, last + 1)
+        frames, heights = _read_beats(values, a + b * k, _BEAT_REACH * b)
+        if np.count_nonzero(heights) >= 2:
+            w = np.sqrt(heights / heights.max())
+            (a, b), *_ = np.linalg.lstsq(np.column_stack([w, w * k]), w * frames, rcond=None)
+        if covered:
             break
-        s = score(beats_from(phase))
-        if s > best_score:
-            best_phase, best_score = phase, s
-    beats = beats_from(best_phase)
+        # Grow toward the beats whose frames lie inside the clip under this fit.
+        k_in = int(np.ceil(-a / b)), int(np.floor((n - 1 - a) / b))
+        grow = max(int(_WINDOW_GROWTH * (last - first + 1)), 1)
+        first, last = max(first - grow, k_in[0]), min(last + grow, k_in[1])
+        covered = (first, last) == k_in
 
-    def local_energy(t: float) -> float:
-        # Onset mass near t, not a point read: a narrow flux spike may
-        # sit one frame either side of the rounded beat index.
-        center = int(round(t * rate))
-        lo = max(center - 2, 0)
-        hi = min(center + 3, envelope.n_frames)
-        return float(values[lo:hi].sum())
+    period = b / rate
+    phase = (a / rate) % period
+    beats = phase + period * np.arange(int(np.floor((duration - phase) / period)) + 1)
 
-    best_offset = 0
-    best_mean = -np.inf
-    for offset in range(min(beats_per_bar, len(beats))):
-        subset = beats[offset::beats_per_bar]
-        mean = float(np.mean([local_energy(t) for t in subset]))
-        if mean > best_mean:
-            best_offset, best_mean = offset, mean
-    return BeatGrid(beats, beats[best_offset::beats_per_bar], float(bpm), beats_per_bar)
+    # Onset mass near each beat, not a point read: a narrow flux spike may
+    # sit one frame either side of the rounded beat index.
+    centres = np.rint(beats * rate).astype(np.int64)
+    mass = np.array([values[max(c - 2, 0) : c + 3].sum() for c in centres])
+    candidates = range(min(beats_per_bar, len(beats)))
+    offset = max(candidates, key=lambda o: mass[o::beats_per_bar].mean())
+    return BeatGrid(beats, beats[offset::beats_per_bar], 60.0 / period, beats_per_bar)
+
+
+def _read_beats(values: np.ndarray, centres: np.ndarray, reach: float):
+    """Each beat's onset frame and height: the envelope's first maximum
+    within reach frames of its centre, refined by a parabola through the
+    maximum and its neighbours (not at the envelope's ends)."""
+    last = values.shape[0] - 1
+    span = np.arange(-int(reach), int(reach) + 1)
+    idx = np.clip(np.rint(centres).astype(np.int64)[:, None] + span, 0, last)
+    top = idx[np.arange(len(idx)), np.argmax(values[idx], axis=1)]
+    prev, mid, nxt = (values[np.clip(top + d, 0, last)] for d in (-1, 0, 1))
+    offset = np.where((top > 0) & (top < last), _parabolic_offset(prev, mid, nxt), 0.0)
+    return top + offset, mid
 
 
 BEAT_GRID_FORMAT = "beat-grid/v1"

@@ -18,7 +18,7 @@ from chordweave.beats import (
 )
 from chordweave.formats import FormatError
 from chordweave.pipeline import RemixConfig, estimate_grid
-from chordweave.synth import click_track, concat, find_clicks, silence
+from chordweave.synth import chord_tones, click_track, concat, find_clicks, silence
 
 SR = 44100
 
@@ -54,7 +54,13 @@ def test_envelope_rejects_short_and_stereo_input():
         onset_envelope(AudioBuffer(np.zeros((2, 44100)), SR))
 
 
-@pytest.mark.parametrize("bpm", [90.0, 120.0, 140.0])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_envelope_rejects_negative_and_non_finite_strengths(bad):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        OnsetEnvelope(np.r_[np.zeros(500), bad, np.ones(500)], 86.0)
+
+
+@pytest.mark.parametrize("bpm", [70.0, 90.0, 120.0, 140.0])
 def test_estimate_bpm_on_clicks(bpm):
     env = onset_envelope(to_mono(click_track(bpm, 10.0, SR)))
     assert abs(estimate_bpm(env) - bpm) <= 1.0
@@ -94,36 +100,18 @@ def _correlate_bpm(envelope, min_bpm=60.0, max_bpm=200.0):
     bpm_at = lambda k: 60.0 * rate / k
     if not 90.0 <= bpm_at(lag) < 180.0:
         for candidate in (int(round(lag / 2)), lag * 2):
-            if lo <= candidate <= hi and ac[candidate] >= 0.95 * ac[lag]:
-                if 90.0 <= bpm_at(candidate) < 180.0:
-                    lag = candidate
-                    break
+            c_lo, c_hi = max(candidate - 1, lo), min(candidate + 1, hi)
+            if c_lo > c_hi:
+                continue
+            best = c_lo + int(np.argmax(ac[c_lo : c_hi + 1]))
+            if ac[best] >= 0.5 * ac[lag] and 90.0 <= bpm_at(best) < 180.0:
+                lag = best
+                break
 
-    def parabolic(k):
-        y_prev, y_mid, y_next = ac[k - 1], ac[k], ac[k + 1]
-        denom = y_prev - 2.0 * y_mid + y_next
-        if denom == 0:
-            return 0.0
-        return float(np.clip(0.5 * (y_prev - y_next) / denom, -0.5, 0.5))
-
-    refined = lag + parabolic(lag)
-    num, den = refined, 1.0
-    half = max(lag // 2, 2)
-    for m in range(2, (envelope.n_frames // 2) // lag + 1):
-        center = int(round(m * refined))
-        w_lo = max(center - half, 1)
-        w_hi = min(center + half, envelope.n_frames - 2)
-        if w_lo >= w_hi:
-            break
-        peak = w_lo + int(np.argmax(ac[w_lo : w_hi + 1]))
-        c_lo = max(peak - 2, 1)
-        c_hi = min(peak + 2, envelope.n_frames - 2)
-        weights = np.clip(ac[c_lo : c_hi + 1], 0.0, None)
-        if weights.sum() <= 0.0 or abs(peak / m - refined) > 1.0:
-            continue
-        num += m * float((np.arange(c_lo, c_hi + 1) * weights).sum() / weights.sum())
-        den += m * m
-    return float(np.clip(60.0 * rate / (num / den), min_bpm, max_bpm))
+    y_prev, y_mid, y_next = ac[lag - 1], ac[lag], ac[lag + 1]
+    denom = y_prev - 2.0 * y_mid + y_next
+    offset = 0.0 if denom == 0 else float(np.clip(0.5 * (y_prev - y_next) / denom, -0.5, 0.5))
+    return float(np.clip(60.0 * rate / (lag + offset), min_bpm, max_bpm))
 
 
 @pytest.mark.parametrize(
@@ -224,6 +212,69 @@ def test_shift_equivariance_within_a_hop():
     for d in b.downbeats_s:
         nearest = round((d - 0.5) / 2.0) * 2.0 + 0.5
         assert abs(d - nearest) <= 2 * hop_s
+
+
+_TRIADS = ((0, 4, 7), (9, 0, 4), (5, 9, 0), (7, 11, 2))
+
+
+def _clicks_and_triads(bpm, duration_s, lead_s=0.3, accent_every=4):
+    """A click per beat from lead_s (downbeats 1.5 times louder when
+    accented) plus one harmonic triad per 4-beat bar, cycling I-vi-IV-V."""
+    clicks = click_track(
+        bpm, duration_s, SR, accent_every=accent_every, accent_gain=1.5, start_s=lead_s
+    )
+    x = clicks.samples[0].copy()
+    bar_s = 4 * 60.0 / bpm
+    tones = {}
+    k = 0
+    while lead_s + k * bar_s < duration_s:
+        a = int(round((lead_s + k * bar_s) * SR))
+        b = min(int(round((lead_s + (k + 1) * bar_s) * SR)), len(x))
+        key = (k % len(_TRIADS), b - a)
+        if key not in tones:
+            tones[key] = chord_tones(_TRIADS[key[0]], key[1] / SR, SR, amplitude=0.27).samples[0]
+        x[a:b] += tones[key][: b - a]
+        k += 1
+    return AudioBuffer(x, SR)
+
+
+def _worst_downbeat_ms(grid, bpm, lead_s, duration_s):
+    """The grid's downbeat farthest from a true one (lead_s + k bars), in ms."""
+    bar_s = 4 * 60.0 / bpm
+    truth = lead_s + bar_s * np.arange(int((duration_s - lead_s) / bar_s) + 1)
+    d = np.asarray(grid.downbeats_s)
+    idx = np.clip(np.searchsorted(truth, d), 1, len(truth) - 1)
+    return 1000.0 * float(np.minimum(abs(d - truth[idx - 1]), abs(d - truth[idx])).max())
+
+
+@pytest.mark.parametrize(
+    "bpm, duration_s, accent_every",
+    [
+        (97.0, 180.0, 4),
+        (121.0, 180.0, 4),
+        (143.0, 180.0, 4),
+        # The raw autocorrelation peak is the double lag, and the beat lag
+        # falls between two frames, which split its strength.
+        (149.97, 180.0, 4),
+        (124.27, 210.0, 4),
+        # Unaccented clicks: only each bar's triad onset marks the bar.
+        (118.0, 180.0, 0),
+    ],
+)
+def test_long_clip_grid_lands_on_every_downbeat(bpm, duration_s, accent_every):
+    clip = _clicks_and_triads(bpm, duration_s, accent_every=accent_every)
+    grid = estimate_grid(clip, RemixConfig())
+    assert abs(grid.bpm - bpm) <= 0.05
+    assert _worst_downbeat_ms(grid, bpm, 0.3, duration_s) <= 12.0
+
+
+@pytest.mark.parametrize("bpm", [143.0, 148.0, 155.0])
+def test_generated_grid_seeded_at_the_request_tempo(bpm):
+    # A backend track at 1.05 times the requested tempo, as perfbench's
+    # loopback answers, searched within 10% of the request's tempo.
+    track = click_track(bpm, 240.0, SR, accent_every=4, accent_gain=1.5, start_s=0.25)
+    grid = estimate_grid(track, RemixConfig(), seed_bpm=bpm / 1.05)
+    assert _worst_downbeat_ms(grid, bpm, 0.25, 240.0) <= 12.0
 
 
 def test_grid_validation():
