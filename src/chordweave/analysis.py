@@ -1,9 +1,9 @@
 """Chromagrams, melody chroma, and template-based chord recognition.
 
 The recogniser is the classical pipeline: fold an STFT into pitch
-classes, score every frame by cosine similarity against unit-norm binary
-chord templates, smooth the winning labels with a median filter, and
-merge segments too short to be musically plausible.  Each call builds
+classes, sum the frames between consecutive beats (Bello & Pickens,
+ISMIR 2005), score each span by cosine similarity against unit-norm
+binary chord templates, and merge equal neighbours.  Each call builds
 its templates from the configured chord qualities: chord_to_chroma
 vectors scaled to unit norm, plus a uniform no-chord row.
 """
@@ -27,6 +27,8 @@ from .chords import (
 from .chroma import ChromaMatrix, chord_to_chroma
 
 NORMALIZATIONS = ("max", "none")
+# melody_one_hot's default: a frame whose bins sum to no more is silent.
+SILENCE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     return ChromaMatrix(values, buffer.sample_rate / config.hop_size)
 
 
-def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = 1e-3) -> ChromaMatrix:
+def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = SILENCE_FLOOR) -> ChromaMatrix:
     """Reduce each frame to a single winning bin.
 
     A frame whose total energy (the sum of its bins, taken from the
@@ -106,12 +108,10 @@ def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = 1e-3) -> ChromaM
 
 @dataclass(frozen=True)
 class RecognitionConfig:
-    """Vocabulary and smoothing parameters for chord recognition."""
+    """Vocabulary and no-chord threshold for chord recognition."""
 
     quality_names: tuple[str, ...] = ("maj", "min")
-    median_window: int = 5
     confidence_threshold: float = 0.5
-    min_segment_s: float = 0.3
 
     def __post_init__(self):
         object.__setattr__(self, "quality_names", tuple(self.quality_names))
@@ -120,12 +120,8 @@ class RecognitionConfig:
                 raise ValueError(f"unknown quality {name!r}")
         if not self.quality_names:
             raise ValueError("need at least one quality")
-        if self.median_window < 1 or self.median_window % 2 == 0:
-            raise ValueError("median_window must be a positive odd integer")
         if not 0 <= self.confidence_threshold <= 1:
             raise ValueError("confidence_threshold must lie in [0, 1]")
-        if self.min_segment_s < 0:
-            raise ValueError("min_segment_s must be >= 0")
 
 
 def _templates(quality_names) -> tuple[tuple[Chord, ...], np.ndarray]:
@@ -142,65 +138,15 @@ def _templates(quality_names) -> tuple[tuple[Chord, ...], np.ndarray]:
     return (*chords, NO_CHORD), np.array(rows)
 
 
-def _median_filter(labels: np.ndarray, width: int) -> np.ndarray:
-    """Odd-width running median with edge replication.
-
-    The median of an odd number of integers is itself one of them, so
-    filtered labels always remain valid labels.
-    """
-    if width == 1 or labels.size == 0:
-        return labels.copy()
-    half = width // 2
-    padded = np.concatenate([np.repeat(labels[0], half), labels, np.repeat(labels[-1], half)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    return np.median(windows, axis=1).astype(labels.dtype)
-
-
-def _segment_runs(labels: np.ndarray) -> list[list[int]]:
-    """[label, start_frame, n_frames] runs of equal consecutive labels."""
-    runs = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            runs.append([int(labels[start]), start, i - start])
-            start = i
-    return runs
-
-
-def _merge_short_runs(runs: list[list[int]], min_frames: int) -> list[list[int]]:
-    """Absorb runs shorter than min_frames into their longer neighbour.
-
-    Shortest run first (leftmost on ties); absorbed into whichever
-    neighbour is longer, the earlier one on ties; adjacent equal labels
-    re-coalesce before the next pass.
-    """
-    runs = [list(r) for r in runs]
-    while len(runs) > 1:
-        lengths = [r[2] for r in runs]
-        shortest = min(range(len(runs)), key=lambda i: (lengths[i], i))
-        if lengths[shortest] >= min_frames:
-            break
-        if shortest == 0:
-            target = 1
-        elif shortest == len(runs) - 1:
-            target = len(runs) - 2
-        else:
-            target = shortest - 1 if lengths[shortest - 1] >= lengths[shortest + 1] else shortest + 1
-        absorbed = runs.pop(shortest)
-        keep = target if target < shortest else target - 1
-        if keep < shortest:
-            runs[keep][2] += absorbed[2]
-        else:
-            runs[keep][1] = absorbed[1]
-            runs[keep][2] += absorbed[2]
-        merged = []
-        for run in runs:
-            if merged and merged[-1][0] == run[0]:
-                merged[-1][2] += run[2]
-            else:
-                merged.append(run)
-        runs = merged
-    return runs
+def _span_starts(n_frames: int, frame_rate_hz: float, beats_s) -> np.ndarray:
+    """First frame of each span: 0, then each beat's nearest frame inside the matrix."""
+    if beats_s is None:
+        return np.arange(n_frames)
+    beats = np.asarray(beats_s, dtype=np.float64)
+    if beats.ndim != 1 or not np.isfinite(beats).all() or (np.diff(beats) <= 0).any():
+        raise ValueError("beats_s must be finite and strictly ascending")
+    frames = np.rint(beats * frame_rate_hz)
+    return np.unique(np.append(0, frames[(frames > 0) & (frames < n_frames)])).astype(np.int64)
 
 
 def recognize_chords(
@@ -208,37 +154,38 @@ def recognize_chords(
     config: RecognitionConfig | None = None,
     bpm: float = 120.0,
     time_signature: TimeSignature = FOUR_FOUR,
+    *,
+    beats_s=None,
 ) -> ChordSequence:
-    """Label a chroma matrix with the best-matching chord per segment.
+    """Label a chroma matrix with the best-matching chord per beat.
 
-    Per frame: cosine similarity against every template, first-maximum
-    argmax; silent frames and frames whose best score falls below the
-    confidence threshold become no-chord.  Labels are median-filtered,
-    collapsed into runs, and runs shorter than the minimum segment length
-    are merged away.  Events tile [0, duration] exactly on frame edges.
-    The tempo arguments only annotate the returned sequence.
+    Spans start at frame 0 and at rint(beat * frame_rate) for each beat
+    of beats_s inside the matrix (finite and strictly ascending, or
+    ValueError); without beats, every frame is a span.  Each span's
+    summed chroma takes the template of highest cosine similarity, the
+    first on ties, or no-chord when silent or below the confidence
+    threshold.  Equal neighbours merge, so events tile [0, duration]
+    exactly on frame edges.  The tempo arguments only annotate.
     """
     if config is None:
         config = RecognitionConfig()
     chords, templates = _templates(config.quality_names)
-    no_chord = len(chords) - 1
     frames = matrix.values
+    rate = matrix.frame_rate_hz
+    starts = _span_starts(frames.shape[0], rate, beats_s)
     if frames.shape[0] == 0:
         return ChordSequence((), bpm, time_signature)
-    norms = np.linalg.norm(frames, axis=1)
+    spans = np.add.reduceat(frames, starts, axis=0)
+    norms = np.linalg.norm(spans, axis=1)
     voiced = norms > 0
-    scores = np.zeros((frames.shape[0], len(chords)))
-    scores[voiced] = (frames[voiced] @ templates.T) / norms[voiced, None]
+    scores = np.zeros((len(starts), len(chords)))
+    scores[voiced] = (spans[voiced] @ templates.T) / norms[voiced, None]
     labels = np.argmax(scores, axis=1)
-    best = scores[np.arange(len(labels)), labels]
-    labels[~voiced] = no_chord
-    labels[best < config.confidence_threshold] = no_chord
-    labels = _median_filter(labels, config.median_window)
-    min_frames = int(np.ceil(config.min_segment_s * matrix.frame_rate_hz))
-    runs = _merge_short_runs(_segment_runs(labels), min_frames)
-    rate = matrix.frame_rate_hz
+    labels[~voiced | (scores.max(axis=1) < config.confidence_threshold)] = len(chords) - 1
+    firsts = np.flatnonzero(np.diff(labels, prepend=-1))
+    edges = np.append(starts[firsts], frames.shape[0]).tolist()
     events = tuple(
-        ChordEvent(chords[label], start / rate, count / rate)
-        for label, start, count in runs
+        ChordEvent(chords[label], start / rate, (end - start) / rate)
+        for label, start, end in zip(labels[firsts].tolist(), edges, edges[1:])
     )
     return ChordSequence(events, bpm, time_signature)

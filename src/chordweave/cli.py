@@ -71,9 +71,7 @@ def _config(args) -> pipeline.RemixConfig:
     if hasattr(args, "qualities"):
         values["recognition"] = analysis.RecognitionConfig(
             quality_names=tuple(q.strip() for q in args.qualities.split(",") if q.strip()),
-            median_window=args.median_window,
             confidence_threshold=args.confidence_threshold,
-            min_segment_s=args.min_segment_s,
         )
     return pipeline.RemixConfig(**values)
 
@@ -101,11 +99,9 @@ def _cmd_encode(args) -> int:
 def _cmd_analyze_chords(args) -> int:
     config = _config(args)
     audio = _load_mono(args.audio, config.sample_rate)
-    bpm = args.bpm
-    if bpm is None:
-        bpm = pipeline.analyze_beats(audio, config).bpm
-        _info(args, f"estimated tempo {bpm:.1f} BPM")
-    seq = pipeline.extract_chords(audio, bpm, config)
+    grid = pipeline.analyze_beats(audio, config, args.bpm)
+    _info(args, f"estimated tempo {grid.bpm:.1f} BPM")
+    seq = pipeline.extract_chords(audio, grid, config)
     _info(args, f"{len(seq.events)} chord segments")
     _emit_json(chords.chord_sequence_to_dict(seq), args.out)
     return 0
@@ -208,9 +204,7 @@ def _add_recognition_flags(parser) -> None:
     parser.add_argument(
         "--qualities", default=",".join(rec.quality_names), help="comma-separated chord qualities"
     )
-    parser.add_argument("--median-window", type=int, default=rec.median_window)
     parser.add_argument("--confidence-threshold", type=float, default=rec.confidence_threshold)
-    parser.add_argument("--min-segment-s", type=float, default=rec.min_segment_s)
 
 
 def _add_tempo_flags(parser) -> None:
@@ -223,16 +217,14 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     common = _common_flags()
     parser = _Parser(prog="chordweave", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    parsers = []
 
     p = sub.add_parser("parse", parents=[common], help="progression text to chord-seq JSON")
     p.add_argument("progression", help='e.g. "C:maj F:maj,G:7 C:maj"')
     p.add_argument("--bpm", type=float, required=True)
-    p.add_argument("--beats-per-bar", type=int, default=4)
+    p.add_argument("--beats-per-bar", type=int, default=_DEFAULTS.beats_per_bar)
     p.add_argument("--beat-unit", type=int, default=4)
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=_cmd_parse)
-    parsers.append(p)
 
     p = sub.add_parser("encode", parents=[common], help="chord-seq JSON to chroma-matrix JSON")
     p.add_argument("--chords", required=True, help="chord-seq document")
@@ -240,17 +232,16 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--csv", action="store_true", help="write CSV instead of JSON")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=_cmd_encode)
-    parsers.append(p)
 
     p = sub.add_parser("analyze-chords", parents=[common], help="recognize chords in a WAV")
     p.add_argument("audio")
-    p.add_argument("--bpm", type=float, help="skip tempo estimation and annotate with this")
+    tolerance = 100 * _DEFAULTS.bpm_seed_tolerance
+    p.add_argument("--bpm", type=float, help=f"search within {tolerance:g}%% of this tempo")
     _add_sample_rate_flag(p)
     _add_tempo_flags(p)
     _add_recognition_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze_chords)
-    parsers.append(p)
 
     p = sub.add_parser("beats", parents=[common], help="tempo and beat grid of a WAV")
     p.add_argument("audio")
@@ -258,16 +249,14 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     _add_tempo_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_beats)
-    parsers.append(p)
 
     p = sub.add_parser("melody", parents=[common], help="one-hot melody chroma of a WAV")
     p.add_argument("audio")
     _add_sample_rate_flag(p)
-    p.add_argument("--silence-floor", type=float, default=1e-3)
+    p.add_argument("--silence-floor", type=float, default=analysis.SILENCE_FLOOR)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_melody)
-    parsers.append(p)
 
     p = sub.add_parser("align", parents=[common], help="warp a WAV between two beat grids")
     p.add_argument("audio")
@@ -276,7 +265,6 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_align)
-    parsers.append(p)
 
     p = sub.add_parser("mix", parents=[common], help="warp generated audio onto an input and mix")
     p.add_argument("generated")
@@ -291,7 +279,6 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mix)
-    parsers.append(p)
 
     p = sub.add_parser("remix", parents=[common], help="full pipeline against an endpoint")
     p.add_argument("audio", help="input WAV (instrumental, or full mix)")
@@ -307,9 +294,8 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
     p.add_argument("--out", required=True, help="request JSON (dry run) or mix WAV")
     p.set_defaults(func=_cmd_remix)
-    parsers.append(p)
 
-    return parser, parsers
+    return parser, list(sub.choices.values())
 
 
 def _apply_config_file(argv, parsers) -> None:

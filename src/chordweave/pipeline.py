@@ -30,9 +30,22 @@ from .audio import (
     resample_linear,
     to_mono,
 )
-from .beats import BeatGrid, estimate_bpm, onset_envelope, track_beats
+from .beats import (
+    DEFAULT_MAX_BPM,
+    DEFAULT_MIN_BPM,
+    BeatGrid,
+    estimate_bpm,
+    onset_envelope,
+    track_beats,
+)
 from .chords import ChordSequence, TimeSignature
-from .chroma import ChromaMatrix, chroma_matrix_from_dict, chroma_matrix_to_dict, render_matrix
+from .chroma import (
+    DEFAULT_FRAME_RATE_HZ,
+    ChromaMatrix,
+    chroma_matrix_from_dict,
+    chroma_matrix_to_dict,
+    render_matrix,
+)
 from .formats import as_number, as_text, decode, dump_document, load_document
 from . import timewarp
 from .timewarp import WsolaConfig, build_anchor_map
@@ -106,10 +119,10 @@ class RemixConfig:
     """Every knob of the pipeline in one place."""
 
     sample_rate: int = 44100
-    conditioning_frame_rate_hz: float = 50.0
+    conditioning_frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     beats_per_bar: int = 4
-    min_bpm: float = 60.0
-    max_bpm: float = 200.0
+    min_bpm: float = DEFAULT_MIN_BPM
+    max_bpm: float = DEFAULT_MAX_BPM
     beat_window_size: int = 1024
     beat_hop_size: int = 512
     chromagram: ChromagramConfig = field(default_factory=ChromagramConfig)
@@ -232,10 +245,12 @@ def estimate_grid(
     return track_beats(envelope, bpm, config.beats_per_bar)
 
 
-def analyze_beats(buffer: AudioBuffer, config: RemixConfig) -> BeatGrid:
-    """Step 1: the input's beat grid over the configured tempo range."""
+def analyze_beats(
+    buffer: AudioBuffer, config: RemixConfig, seed_bpm: float | None = None
+) -> BeatGrid:
+    """Step 1: the input's beat grid, its tempo search seeded as estimate_grid's."""
     with _step(1):
-        return estimate_grid(buffer, config)
+        return estimate_grid(buffer, config, seed_bpm)
 
 
 def _chromagram(buffer: AudioBuffer, config: RemixConfig) -> ChromaMatrix:
@@ -247,20 +262,21 @@ def _chromagram(buffer: AudioBuffer, config: RemixConfig) -> ChromaMatrix:
         return chromagram
 
 
-def _recognize(chromagram: ChromaMatrix, bpm: float, config: RemixConfig) -> ChordSequence:
-    """Step 3's second half: template matching, in a bar of beats_per_bar beats."""
+def _recognize(chromagram: ChromaMatrix, grid: BeatGrid, config: RemixConfig) -> ChordSequence:
+    """Step 3's second half: one label per beat of the grid, at its tempo."""
     with _step(3):
         return recognize_chords(
             chromagram,
             config.recognition,
-            bpm=bpm,
+            bpm=grid.bpm,
             time_signature=TimeSignature(config.beats_per_bar, 4),
+            beats_s=grid.beats_s,
         )
 
 
-def extract_chords(buffer: AudioBuffer, bpm: float, config: RemixConfig) -> ChordSequence:
-    """Step 3: chromagram plus template matching, in a bar of beats_per_bar beats."""
-    return _recognize(_chromagram(buffer, config), bpm, config)
+def extract_chords(buffer: AudioBuffer, grid: BeatGrid, config: RemixConfig) -> ChordSequence:
+    """Step 3: chromagram plus beat-synchronous template matching on the grid."""
+    return _recognize(_chromagram(buffer, config), grid, config)
 
 
 def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> ConditioningBundle:
@@ -281,7 +297,7 @@ def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> Co
         grid, chromagram = timewarp._run_split(calls)
     else:
         grid, chromagram = [call() for call in calls]
-    chords = _recognize(chromagram, grid.bpm, config)
+    chords = _recognize(chromagram, grid, config)
     chroma = render_matrix(chords, config.conditioning_frame_rate_hz)
     return ConditioningBundle(grid, chords, chroma, prompt, stems.instrumental.duration_s)
 

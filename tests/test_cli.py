@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -12,7 +13,8 @@ import chordweave
 from chordweave.audio import read_wav, write_wav
 from chordweave.beats import BeatGrid, write_beat_grid
 from chordweave.chroma import read_matrix
-from chordweave.cli import run
+from chordweave.cli import _config, build_parser, run
+from chordweave.pipeline import RemixConfig
 from chordweave.synth import chord_tones, click_track, concat, mix, silence
 from chordweave.chords import parse_progression
 
@@ -148,6 +150,15 @@ def test_analyze_chords_finds_progression(input_wav, tmp_path):
         names = [e["chord"] for e in doc["events"]]
         assert "C:maj" in names
         assert "G:maj" in names
+
+
+def test_analyze_chords_bpm_only_seeds_the_grid(input_wav, tmp_path):
+    events = []
+    for flags in ([], ["--bpm", "120"]):
+        out = tmp_path / "chords.json"
+        assert run(["analyze-chords", str(input_wav), *flags, "--out", str(out)]) == 0
+        events.append(json.loads(out.read_text())["events"])
+    assert events[0] == events[1]
 
 
 def test_melody_rows_are_one_hot(input_wav, tmp_path):
@@ -414,3 +425,18 @@ def test_deeply_nested_config_file_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "chordweave: error:" in err
     assert "Traceback" not in err
+
+
+_SUBPARSERS = {p.prog.split()[-1]: p for p in build_parser()[1]}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+def test_flag_defaults_are_remix_config_defaults(command):
+    actions = _SUBPARSERS[command]._actions
+    defaults = argparse.Namespace(**{action.dest: action.default for action in actions})
+    assert _config(defaults) == RemixConfig()
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+def test_every_command_formats_its_help(command):
+    assert _SUBPARSERS[command].format_help().startswith(f"usage: chordweave {command}")
