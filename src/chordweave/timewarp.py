@@ -10,14 +10,21 @@ align_to_anchors is the one way in: a whole-buffer stretch of n samples
 by one ratio is the one-segment map ((0, 0), (n / rate,
 round(n * ratio) / rate)).
 
-The offset search scores each candidate grain by its correlation with
-the continuation of the previous one and takes the best, but a score
-within max(TIE_RELATIVE * |best|, TIE_FLOOR * |template| * |region|) of
-the best counts as a tie, and ties go to the candidate nearest the
-nominal offset.  The floor is a fraction of the Cauchy-Schwarz bound on
-every score: where the template and the region share no sound (a click
-that never overlaps the region's click), every true score is 0 and the
-computed ones are FFT round-off, which must not move the grain.
+The offset search scores candidate grains by their correlation with the
+continuation of the previous one, coarse to fine: the correlation of
+sums of DECIMATION samples picks a coarse lag, and exact scores of the
+lags within DECIMATION of it pick the grain.  Each pass takes its best
+score, but a score within max(TIE_RELATIVE * |best|, TIE_FLOOR *
+|template| * |region|) of the best counts as a tie, and ties go to the
+candidate nearest the nominal offset; the coarse pass measures that
+distance at full rate.  The floor is a fraction of the Cauchy-Schwarz
+bound on every score of the pass (of the box sums, in the coarse one):
+where the template and the region share no sound (a click that never
+overlaps the region's click), every true score is 0 and the computed
+ones are FFT round-off, which must not move the grain.  The search may
+miss the grain an exhaustive search of every lag would take, but only
+where the box sums rank the candidates differently from the exact
+scores.
 
 The warp's output is allocated once and every segment writes its own
 slice of it.  Segments are independent once their anchors are fixed, so
@@ -49,12 +56,26 @@ RATIO_MAX = 4.0
 TIE_RELATIVE = 1e-6
 TIE_FLOOR = 1e-9
 
+# The offset search's coarse pass scores sums of this many samples (added
+# in pairs of pairs by _box_sums), and its refine pass the full-rate lags
+# within this many of the coarse pick.
+DECIMATION = 4
+
 # The least output length, in samples, worth a second thread; see the
-# module docstring.  About 45 s at 44.1 kHz.  On a 2-vCPU guest, two
-# threads warped a 30 s clip (1.3M samples) in 231 ms against 195 ms on
-# one, and a 90 s clip (3.9M samples) in 378 ms against 545 ms.
-# pipeline.prepare_conditioning applies the same rule to its input.
+# module docstring.  About 45 s at 44.1 kHz.  pipeline.prepare_conditioning
+# applies the same rule to its input.  Medians of interleaved runs on a
+# 2-vCPU guest, one thread against two:
+# - prepare_conditioning's analysis split pays from about 45 s (2.0M
+#   samples): 51 against 35 ms at 45 s, 70 against 38 ms at 60 s.
+# - The warp's groups pay only from about 120 s (5.3M samples): 109
+#   against 159 ms at 45 s, 232 against 252 ms at 90 s, 439 against
+#   324 ms at 150 s.  Below that, each group's search holds so few
+#   segments that its steps are mostly interpreter work, which the
+#   threads take turns at.
 PARALLEL_MIN_SAMPLES = 2_000_000
+
+# A distance past every candidate's, for scores outside the near-tie band.
+_FAR = np.iinfo(np.int64).max
 
 # Grains overlap-added per gather, which bounds the gathered grains to
 # this many rows whatever the segment's length.
@@ -80,20 +101,46 @@ class WsolaConfig:
         return self.frame_length // 2
 
 
-def _rows(x: np.ndarray, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+def _rows(
+    x: np.ndarray, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
     """Row i holds x[starts[i] : starts[i] + lengths[i]], zero-padded to the window width.
 
     `windows` is x's sliding window view; full rows are copied from it,
-    and only the short ones are gathered sample by sample.
+    and only the short ones are cut to length.
     """
-    width = windows.shape[1]
-    rows = windows[np.minimum(starts, len(x) - width)]
-    short = np.flatnonzero(lengths < width)
-    if short.size:
-        taps = np.arange(width)
-        at = np.minimum(starts[short, None] + taps, len(x) - 1)
-        rows[short] = np.where(taps < lengths[short, None], x[at], 0.0)
+    rows = windows[np.minimum(starts, len(windows) - 1)]
+    for i in (lengths < rows.shape[1]).nonzero()[0].tolist():
+        rows[i, : lengths[i]] = x[starts[i] : starts[i] + lengths[i]]
+        rows[i, lengths[i] :] = 0.0
     return rows
+
+
+def _box_sums(rows: np.ndarray, out: np.ndarray, pairs: np.ndarray):
+    """out[:, i] = (rows[:, 4i] + rows[:, 4i + 1]) + (rows[:, 4i + 2] + rows[:, 4i + 3]),
+    the sums of DECIMATION = 4 samples added in pairs.
+
+    `rows` holds 4 * out.shape[1] columns, and `pairs` is scratch of half
+    as many.
+    """
+    np.add(rows[:, 0::2], rows[:, 1::2], out=pairs)
+    np.add(pairs[:, 0::2], pairs[:, 1::2], out=out)
+
+
+def _norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a[i]| * |b[i]| for every row i."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a)) * np.sqrt(np.einsum("ij,ij->i", b, b))
+
+
+def _pick(scores: np.ndarray, norms: np.ndarray, distance: np.ndarray) -> np.ndarray:
+    """Each row's chosen column by the near-tie rule: of the scores within
+    tolerance of the row's best, the one of least `distance` from the
+    nominal offset, the first of equally near ones.  `distance` is
+    overwritten."""
+    best = scores.max(axis=1)
+    near_tol = np.maximum(TIE_RELATIVE * np.abs(best), TIE_FLOOR * norms)
+    distance[scores < (best - near_tol)[:, None]] = _FAR
+    return np.argmin(distance, axis=1)
 
 
 def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.ndarray]:
@@ -102,65 +149,127 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
     `spans` holds (offset, length, target_len) triples, one per segment
     to stretch; the starts come back relative to each segment.  Segments
     are independent, so step k searches the k-th grain of every segment
-    that has one, one row each.  Templates and search regions are
-    gathered from `mono` and correlated with one row-wise FFT of size
-    next_pow2(2 * search_tolerance + frame_length): the correlation is
-    circular, but no searched lag reads past the end of its row.
+    that has one, one row each, coarse to fine:
+
+    - Coarse: the template and the search region x[lo : hi + grain],
+      both zero past the segment's end, are gathered from `mono` and
+      summed in boxes of DECIMATION samples from their first sample.  The
+      box sums are correlated with one row-wise FFT of size
+      next_pow2(ceil((2 * search_tolerance + frame_length) / DECIMATION)),
+      512 by default: the correlation is circular, but no searched coarse
+      lag reads past the end of its row.  Coarse lag c, which sums the
+      products of the lags within DECIMATION of DECIMATION * c, is
+      searched where DECIMATION * c lies inside the window, and the
+      near-tie rule picks one, measuring DECIMATION * c from nominal.
+    - Refine: the lags DECIMATION * (c - 1) ... DECIMATION * (c + 1)
+      inside the window are scored with exact dot products, and the
+      near-tie rule picks the grain among them.
+
+    The box sums go to buffers allocated once per search.
     """
     grain, hop, tol = config.frame_length, config.hop, config.search_tolerance
-    offset, n, target = (np.array(col, dtype=np.int64) for col in zip(*spans))
-    max_start = n - grain
-    counts = np.ceil((target - grain) / hop).astype(np.int64) + 1
-    starts = np.zeros((len(spans), counts.max()), dtype=np.int64)
+    # Segments in order of falling grain count, so that the segments a step
+    # searches are always the first rows.
+    counts = np.array([-(-(target_len - grain) // hop) + 1 for _, _, target_len in spans])
+    order = np.argsort(-counts, kind="stable")
+    offset, n, target = (np.array([spans[i][col] for i in order], np.int64) for col in range(3))
+    counts = counts[order]
+    steps = counts[0]
+    searched = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
     width = 2 * tol + grain
-    size = 1 << (width - 1).bit_length()
-    if len(mono) < width:  # too short for even one window view
-        mono = np.concatenate([mono, np.zeros(width - len(mono))])
-    template_windows = np.lib.stride_tricks.sliding_window_view(mono, grain)
-    region_windows = np.lib.stride_tricks.sliding_window_view(mono, width)
-    lags = np.arange(2 * tol + 1)
-    for k in range(1, counts.max()):
-        rows = np.flatnonzero(counts > k)
-        # As round(k * hop * n / target_len) in Python, for products below 2**53.
-        nominal = np.rint(k * hop * n[rows] / target[rows]).astype(np.int64)
-        nominal = np.clip(nominal, 0, max_start[rows])
-        lo = np.maximum(nominal - tol, 0)
-        hi = np.minimum(nominal + tol, max_start[rows])
+    box_grain, box_width = -(-grain // DECIMATION), -(-width // DECIMATION)
+    size = 1 << (box_width - 1).bit_length()
+    coarse_lags = DECIMATION * np.arange(2 * tol // DECIMATION + 1)
+    fine_taps = np.arange(2 * DECIMATION + 1)
+    # Templates and regions are gathered as whole boxes, and the refine's
+    # lags read one run each.
+    widths = DECIMATION * box_grain, DECIMATION * box_width, grain + 2 * DECIMATION
+    if len(mono) < max(widths):  # too short for the window views
+        mono = np.concatenate([mono, np.zeros(max(widths) - len(mono))])
+    template_windows, region_windows, fine_sources = (
+        np.lib.stride_tricks.sliding_window_view(mono, w) for w in widths
+    )
+    # The FFT's inputs, zero past the box sums each step writes.
+    box_templates = np.zeros((len(spans), size))
+    box_regions = np.zeros((len(spans), size))
+    pairs = np.empty((len(spans), 2 * box_width))
+    # Row k holds step k: each grain's nominal start, as round(k * hop * n /
+    # target_len) in Python for products below 2**53, clamped to the
+    # segment, and its window, which starts at `window_at` in `mono` and
+    # holds window_span + 1 starts.  `ahead` is nominal less the window's
+    # first start.
+    nominal = np.rint(np.arange(steps)[:, None] * hop * n / target).astype(np.int64)
+    nominal = np.clip(nominal, 0, n - grain)
+    lo = np.maximum(nominal - tol, 0)
+    window_span = np.minimum(nominal + tol, n - grain) - lo
+    window_at = offset + lo
+    ahead = nominal - lo
+    # Chosen starts, in `mono`; each segment's first grain takes its first sample.
+    starts = np.empty((steps, len(spans)), np.int64)
+    starts[0] = offset
+    for k in range(1, steps):
+        r = searched[k]
+        at, span = window_at[k, :r], window_span[k, :r]
         # The template continues the previous grain and is zero past the
-        # segment's end; the region is x[lo : hi + grain] of the segment.
-        follow = starts[rows, k - 1] + hop
-        templates = _rows(mono, template_windows, offset[rows] + follow, n[rows] - follow)
-        regions = _rows(mono, region_windows, offset[rows] + lo, hi - lo + grain)
-        spectrum = np.conj(np.fft.rfft(templates, size))
-        spectrum *= np.fft.rfft(regions, size)
-        scores = np.fft.irfft(spectrum, size)[:, : lags.size]
-        # Lags past hi - lo lie outside the segment's search window.
-        clipped = np.flatnonzero(hi - lo < 2 * tol)
-        scores[clipped] = np.where(lags <= (hi - lo)[clipped, None], scores[clipped], -np.inf)
-        best = scores.max(axis=1)
-        norms = np.sqrt(np.einsum("ij,ij->i", templates, templates)) * np.sqrt(
-            np.einsum("ij,ij->i", regions, regions)
-        )
-        near_tol = np.maximum(TIE_RELATIVE * np.abs(best), TIE_FLOOR * norms)
+        # segment's end; the region is the window's starts plus one grain.
+        follow = starts[k - 1, :r] + hop
+        ends = offset[:r] + n[:r]
+        template = _rows(mono, template_windows, follow, np.minimum(ends - follow, grain))
+        region = _rows(mono, region_windows, at, span + grain)
+        box_template, box_region = box_templates[:r], box_regions[:r]
+        _box_sums(template, box_template[:, :box_grain], pairs[:r, : 2 * box_grain])
+        _box_sums(region, box_region[:, :box_width], pairs[:r])
+        spectrum = np.fft.rfft(box_template)
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= np.fft.rfft(box_region)
+        scores = np.fft.irfft(spectrum, size)[:, : coarse_lags.size]
+        # Coarse lags past the window's last start lie outside it.
+        clipped = (span < coarse_lags[-1]).nonzero()[0]
+        scores[clipped] = np.where(coarse_lags <= span[clipped, None], scores[clipped], -np.inf)
         # Near-ties resolve toward the nominal offset: in silence every
         # score is ~0 and a bare argmax would drag each grain to the
         # window edge, shifting content and never reading the last
-        # samples of the buffer.  The first of equally near lags wins.
-        distance = np.abs(lags + (lo - nominal)[:, None])
-        distance[scores < (best - near_tol)[:, None]] = np.iinfo(np.int64).max
-        starts[rows, k] = lo + np.argmin(distance, axis=1)
-    return [row[:count] for row, count in zip(starts, counts)]
+        # samples of the buffer.
+        distance = np.abs(coarse_lags - ahead[k, :r, None])
+        coarse = coarse_lags[_pick(scores, _norms(box_template, box_region), distance)]
+        # Exact scores of the lags within DECIMATION of the coarse one.  Their
+        # run starts DECIMATION lags before it, or where `mono` lets it, and
+        # its lags outside that range or outside the window score -inf.
+        first = np.clip(at + coarse - DECIMATION, 0, len(fine_sources) - 1)
+        run = fine_sources[first]
+        windows = np.lib.stride_tricks.as_strided(
+            run, (r, fine_taps.size, grain), (run.strides[0], run.strides[1], run.strides[1])
+        )
+        fine = np.matmul(template[:, None, None, :grain], windows[..., None])[..., 0, 0]
+        lags = (first - at)[:, None] + fine_taps
+        outside = (lags < np.maximum(coarse - DECIMATION, 0)[:, None]) | (
+            lags > np.minimum(coarse + DECIMATION, span)[:, None]
+        )
+        fine[outside] = -np.inf
+        chosen = _pick(fine, _norms(template, region), np.abs(lags - ahead[k, :r, None]))
+        starts[k, :r] = first + chosen
+    chosen_starts = [None] * len(spans)
+    for row, i in enumerate(order):
+        chosen_starts[i] = starts[: counts[row], row] - offset[row]
+    return chosen_starts
 
 
 def _overlap_add(
-    x: np.ndarray, starts: np.ndarray, out: np.ndarray, config: WsolaConfig, halves: np.ndarray
+    x: np.ndarray,
+    starts: np.ndarray,
+    out: np.ndarray,
+    config: WsolaConfig,
+    halves: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ):
     """Overlap-add the Hann-windowed grains x[:, s : s + grain] for s in starts into out.
 
     Grain k lands at k * hop, half a grain apart; the sum is divided by
     the summed window where that exceeds 1e-8, and its first
     out.shape[1] samples are written.  Every start must leave a whole
-    grain inside x.  `halves` is the Hann window as two rows of one hop.
+    grain inside x.  `halves` is the Hann window as two rows of one hop,
+    and `scratch` is _ola_scratch for at least len(starts) grains, which
+    this overwrites.
 
     The sum is laid out as rows of one hop each: grain k adds its first
     half to output row k and its second half to row k + 1.  No output
@@ -170,15 +279,16 @@ def _overlap_add(
     grain, hop = config.frame_length, config.hop
     n_grains = len(starts)
     window = halves.reshape(-1)
-    weight = np.zeros((n_grains + 1, hop))
+    sums, windowed = scratch
+    total, weight = sums[:, : n_grains + 1]
+    weight.fill(0.0)
     weight[:-1] += halves[0]
     weight[1:] += halves[1]
     weight = weight.reshape(-1)[: out.shape[1]]
     divide = weight > 1e-8
-    windowed = np.empty((min(n_grains, _OLA_BLOCK), grain))
     for ch, dest in zip(x, out):
         grains = np.lib.stride_tricks.sliding_window_view(ch, grain)
-        total = np.zeros((n_grains + 1, hop))
+        total.fill(0.0)
         for first in range(0, n_grains, _OLA_BLOCK):
             block = starts[first : first + _OLA_BLOCK]
             chunks = windowed[: len(block)]
@@ -188,6 +298,20 @@ def _overlap_add(
             total[first + 1 : first + 1 + len(block)] += chunks[:, 1]
         dest[:] = total.reshape(-1)[: len(dest)]
         np.divide(dest, weight, out=dest, where=divide)
+
+
+def _ola_scratch(n_grains: int, config: WsolaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for _overlap_add of up to n_grains grains: the sum and the
+    summed window as rows of one hop, and one block of windowed grains.
+
+    A warp reuses them from segment to segment.  Allocated per segment,
+    buffers of this size are fresh pages from the system each time, and
+    filling those cost the overlap-add more than its arithmetic.
+    """
+    return (
+        np.empty((2, n_grains + 1, config.hop)),
+        np.empty((min(n_grains, _OLA_BLOCK), config.frame_length)),
+    )
 
 
 def _available_cpus() -> int:
@@ -261,9 +385,10 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.nd
 
     def stretch(group):
         group_spans = [spans[i] for i in group]
+        scratch = _ola_scratch(max(n_grains[i] for i in group), config)
         for i, starts in zip(group, _search_offsets(mono, group_spans, config)):
             lo, n, _ = spans[i]
-            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, halves)
+            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, halves, scratch)
 
     workers = 1
     if out.shape[1] >= PARALLEL_MIN_SAMPLES:
