@@ -33,30 +33,27 @@ SILENCE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class ChromagramConfig:
-    """STFT and folding parameters for chroma extraction from audio."""
+    """Chroma extraction from audio: a 4096-point Hann STFT hopped by 2048
+    samples, folded over 65.4 Hz (C2) to 2093 Hz (C7).  That resolution is
+    fixed by class constants, not fields; only the normalization is chosen.
+    """
 
-    window_size: int = 4096
-    hop_size: int = 2048
-    fmin_hz: float = 65.4
-    fmax_hz: float = 2093.0
+    window_size = 4096
+    hop_size = 2048
+    fmin_hz = 65.4
+    fmax_hz = 2093.0
     normalization: str = "max"
 
     def __post_init__(self):
-        if self.window_size < 2 or self.window_size & (self.window_size - 1):
-            raise ValueError("window_size must be a power of two >= 2")
-        if self.hop_size < 1:
-            raise ValueError("hop_size must be >= 1")
-        if not 0 < self.fmin_hz < self.fmax_hz:
-            raise ValueError("need 0 < fmin_hz < fmax_hz")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
 
-def _bin_pitch_classes(n_bins: int, sample_rate: int, window_size: int, config: ChromagramConfig):
+def _bin_pitch_classes(sample_rate: int, config: ChromagramConfig):
     """Map STFT bins to pitch classes by nearest equal-tempered semitone."""
-    freqs = np.arange(n_bins) * (sample_rate / window_size)
+    freqs = np.arange(config.window_size // 2 + 1) * (sample_rate / config.window_size)
     mask = (freqs >= config.fmin_hz) & (freqs <= config.fmax_hz)
-    pcs = np.zeros(n_bins, dtype=np.int64)
+    pcs = np.zeros(len(freqs), dtype=np.int64)
     with np.errstate(divide="ignore"):
         midi = np.rint(69.0 + 12.0 * np.log2(np.where(mask, freqs, 1.0) / 440.0))
     pcs[mask] = midi[mask].astype(np.int64) % 12
@@ -77,8 +74,7 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     if buffer.n_channels != 1:
         raise ValueError("chromagram expects a mono buffer; call to_mono first")
     n_frames, blocks = _stft_blocks(buffer.samples[0], config.window_size, config.hop_size)
-    n_bins = config.window_size // 2 + 1
-    pcs, mask = _bin_pitch_classes(n_bins, buffer.sample_rate, config.window_size, config)
+    pcs, mask = _bin_pitch_classes(buffer.sample_rate, config)
     folds = [mask & (pcs == pc) for pc in range(12)]
     values = np.zeros((n_frames, 12))
     for first, mags in blocks:

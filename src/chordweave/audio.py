@@ -8,6 +8,7 @@ numpy so the numerical behaviour is easy to pin down in tests.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -19,9 +20,23 @@ class WavFormatError(ValueError):
     """Unreadable WAV data: truncated, non-RIFF, or an unsupported codec."""
 
 
+def _check_rate(rate, name: str) -> None:
+    """ValueError unless rate is a positive whole number, which a WAV header can hold.
+
+    A bool is not taken for one, and neither is a float of whole value.
+    """
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
+        raise ValueError(f"{name} must be a positive whole number, got {rate!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Immutable (channels, n) float64 audio at a fixed sample rate."""
+    """Immutable (channels, n) float64 audio at a fixed sample rate.
+
+    The rate is a positive whole number of Hz (an int, or a NumPy integer),
+    as a WAV header holds it; anything else, a bool included, is a
+    ValueError here rather than when the buffer is written.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -52,8 +67,7 @@ class AudioBuffer:
             raise ValueError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("need at least one channel")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        _check_rate(self.sample_rate, "sample_rate")
         samples = samples.copy() if copy else np.ascontiguousarray(samples)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -102,8 +116,7 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
 def _resample_rows(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
     """resample_linear on a (channels, n) array: `samples` itself when the
     rates match, else a new array."""
-    if target_rate <= 0:
-        raise ValueError("target_rate must be > 0")
+    _check_rate(target_rate, "target_rate")
     if target_rate == rate:
         return samples
     n_channels, n = samples.shape

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 
@@ -298,8 +299,40 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     return parser, list(sub.choices.values())
 
 
+def _config_value(parser, action, key: str, value):
+    """A --config value as its flag takes it, or FormatError naming the key.
+
+    A flag that takes no value (a switch, or -v's count) takes a JSON
+    value of its default's type: true or false, or an integer.  A JSON
+    string is converted and checked as argparse does a command-line word.
+    A number is taken only by an int or float flag that holds it exactly.
+    """
+    if action.nargs == 0:
+        if type(value) is type(action.default):
+            return value
+    elif isinstance(value, str):
+        try:
+            converted = parser._get_value(action, value)
+            parser._check_value(action, converted)
+        except argparse.ArgumentError as exc:
+            raise FormatError(f"config file option {key!r}: {exc.message}") from None
+        return converted
+    elif type(value) in (int, float) and action.type in (int, float):
+        try:
+            converted = action.type(value)
+        except (OverflowError, ValueError):  # int() of an infinity
+            converted = None
+        if converted == value:
+            return converted
+    raise FormatError(f"config file option {key!r}: invalid value {json.dumps(value)}")
+
+
 def _apply_config_file(argv, parsers) -> None:
-    """Seed parser defaults from --config's JSON; explicit flags still win."""
+    """Seed parser defaults from --config's JSON; explicit flags still win.
+
+    Each value is converted by _config_value for every command that has
+    the flag, so a value a flag would refuse is refused before any work.
+    """
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -309,13 +342,19 @@ def _apply_config_file(argv, parsers) -> None:
     if path is None:
         return
     doc = load_document(path)
-    values = {key.replace("-", "_").lstrip("_"): value for key, value in doc.items()}
-    dests = [{action.dest for action in p._actions if action.dest != "help"} for p in parsers]
-    unknown = sorted(set(values).difference(*dests))
+    keys = {key.replace("-", "_").lstrip("_"): key for key in doc}
+    actions = [{a.dest: a for a in p._actions if a.dest != "help"} for p in parsers]
+    unknown = sorted(set(keys).difference(*actions))
     if unknown:
         raise FormatError(f"config file sets unknown options: {', '.join(unknown)}")
-    for p, own in zip(parsers, dests):
-        p.set_defaults(**{key: value for key, value in values.items() if key in own})
+    for p, own in zip(parsers, actions):
+        p.set_defaults(
+            **{
+                dest: _config_value(p, own[dest], key, doc[key])
+                for dest, key in keys.items()
+                if dest in own
+            }
+        )
 
 
 def run(argv=None) -> int:

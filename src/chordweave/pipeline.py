@@ -25,6 +25,7 @@ from .analysis import ChromagramConfig, RecognitionConfig, compute_chromagram, r
 from .audio import (
     AudioBuffer,
     WavFormatError,
+    _check_rate,
     _resample_rows,
     decode_wav,
     resample_linear,
@@ -116,34 +117,35 @@ class StemSet:
 
 @dataclass(frozen=True)
 class RemixConfig:
-    """Every knob of the pipeline in one place."""
+    """Every knob of the pipeline in one place.
+
+    Class constants, not fields, fix the beat analysis: a 1024-point onset
+    STFT hopped by 512 samples, and a seeded tempo search (estimate_grid's
+    seed_bpm) held within 10% of its seed, which rules out octave errors.
+    """
+
+    beat_window_size = 1024
+    beat_hop_size = 512
+    bpm_seed_tolerance = 0.10
 
     sample_rate: int = 44100
     conditioning_frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     beats_per_bar: int = 4
     min_bpm: float = DEFAULT_MIN_BPM
     max_bpm: float = DEFAULT_MAX_BPM
-    beat_window_size: int = 1024
-    beat_hop_size: int = 512
     chromagram: ChromagramConfig = field(default_factory=ChromagramConfig)
     recognition: RecognitionConfig = field(default_factory=RecognitionConfig)
     wsola: WsolaConfig = field(default_factory=WsolaConfig)
     generated_gain: float = 1.0
     vocal_gain: float = 1.0
     ceiling_dbfs: float = -1.0
-    # A seeded tempo search (estimate_grid's seed_bpm) stays in a window
-    # this wide around the seed, which rules out octave errors.
-    bpm_seed_tolerance: float = 0.10
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        _check_rate(self.sample_rate, "sample_rate")
         if not 0 < self.conditioning_frame_rate_hz < np.inf:
             raise ValueError("conditioning_frame_rate_hz must be finite and > 0")
         if not -np.inf < self.ceiling_dbfs <= 0:
             raise ValueError("ceiling_dbfs must be finite and <= 0")
-        if not 0 < self.bpm_seed_tolerance < 1:
-            raise ValueError("bpm_seed_tolerance must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -285,15 +287,14 @@ def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> Co
     Beat analysis and chord extraction run on the instrumental stem; the
     recognized chords are rendered to conditioning chroma at the
     configured rate.  The chromagram does not depend on the beat grid,
-    so on a stem of at least timewarp.PARALLEL_MIN_SAMPLES samples, with
-    more than one CPU available, it is computed on a worker thread while
-    this one finds the grid; the results are those of a serial run.  A
-    grid failure is reported as step 1 whether or not the chromagram
-    also failed.
+    so when timewarp._thread_count gives the stem more than one thread,
+    it is computed on a worker thread while this one finds the grid; the
+    results are those of a serial run.  A grid failure is reported as
+    step 1 whether or not the chromagram also failed.
     """
     mono = to_mono(stems.instrumental)
     calls = [partial(analyze_beats, mono, config), partial(_chromagram, mono, config)]
-    if mono.n_samples >= timewarp.PARALLEL_MIN_SAMPLES and timewarp._available_cpus() > 1:
+    if timewarp._thread_count(mono.n_samples) > 1:
         grid, chromagram = timewarp._run_split(calls)
     else:
         grid, chromagram = [call() for call in calls]

@@ -61,10 +61,10 @@ TIE_FLOOR = 1e-9
 # within this many of the coarse pick.
 DECIMATION = 4
 
-# The least output length, in samples, worth a second thread; see the
-# module docstring.  About 45 s at 44.1 kHz.  pipeline.prepare_conditioning
-# applies the same rule to its input.  Medians of interleaved runs on a
-# 2-vCPU guest, one thread against two:
+# The least length, in samples, worth a second thread; see the module
+# docstring.  About 45 s at 44.1 kHz.  _thread_count applies it to the
+# warp's output and to pipeline.prepare_conditioning's input.  Medians of
+# interleaved runs on a 2-vCPU guest, one thread against two:
 # - prepare_conditioning's analysis split pays from about 45 s (2.0M
 #   samples): 51 against 35 ms at 45 s, 70 against 38 ms at 60 s.
 # - The warp's groups pay only from about 120 s (5.3M samples): 109
@@ -322,6 +322,12 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _thread_count(n_samples: int) -> int:
+    """Threads to split work on n_samples samples over: every available CPU
+    from PARALLEL_MIN_SAMPLES samples on, else one."""
+    return _available_cpus() if n_samples >= PARALLEL_MIN_SAMPLES else 1
+
+
 def _groups(n_grains: np.ndarray, workers: int) -> list[np.ndarray]:
     """Split segment indices into at most `workers` consecutive runs of about equal grains."""
     total = np.cumsum(n_grains)
@@ -390,9 +396,7 @@ def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.nd
             lo, n, _ = spans[i]
             _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, halves, scratch)
 
-    workers = 1
-    if out.shape[1] >= PARALLEL_MIN_SAMPLES:
-        workers = min(_available_cpus(), len(spans))
+    workers = min(_thread_count(out.shape[1]), len(spans))
     n_grains = [-(-(target_len - grain) // hop) + 1 for _, _, target_len in spans]
     groups = _groups(np.array(n_grains), workers)
     _run_split([partial(stretch, group) for group in groups])

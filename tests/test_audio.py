@@ -55,6 +55,22 @@ def test_buffer_rejects_bad_rate():
         AudioBuffer(np.zeros(10), 0)
 
 
+# A WAV header holds a whole number of samples per second, so any other
+# rate must fail when the buffer is made, not when it is written.
+@pytest.mark.parametrize("rate", [22050.5, 44100.0, True, -8000])
+def test_rates_that_are_not_positive_whole_numbers_are_refused(rate):
+    with pytest.raises(ValueError, match="sample_rate"):
+        AudioBuffer(np.zeros(10), rate)
+    with pytest.raises(ValueError, match="target_rate"):
+        resample_linear(AudioBuffer(np.zeros(10), 8000), rate)
+
+
+def test_numpy_integer_rates_are_taken():
+    buffer = resample_linear(AudioBuffer(np.zeros(10), np.int64(8000)), np.int32(16000))
+    assert buffer.n_samples == 20
+    assert decode_wav(encode_wav(buffer)).sample_rate == 16000
+
+
 def test_buffer_copies_caller_array():
     x = np.zeros((2, 100))
     buffer = AudioBuffer(x, 8000)
@@ -343,7 +359,7 @@ def _gather_onset_flux(x, window_size, hop_size):
 
 def _gather_chromagram(x, rate, config):
     mags = _gather_stft(x, config.window_size, config.hop_size)
-    pcs, mask = _bin_pitch_classes(mags.shape[1], rate, config.window_size, config)
+    pcs, mask = _bin_pitch_classes(rate, config)
     values = np.zeros((len(mags), 12))
     for pc in range(12):
         cols = mask & (pcs == pc)
@@ -356,14 +372,14 @@ def _gather_chromagram(x, rate, config):
 
 
 # (window, hop) pairs: overlapping, hop = window, hop > window, the onset
-# and chroma defaults, and a window too long for 2**18-sample blocks.
+# and chroma framings, and a window too long for 2**18-sample blocks.
 _FRAMINGS = [(256, 64), (512, 512), (128, 200), (1024, 512), (4096, 2048), (2**18, 2**17)]
 
 
 @st.composite
-def _framed_signal(draw):
+def _framed_signal(draw, framings=_FRAMINGS):
     """A noise signal whose length sits at or near a window or block edge."""
-    window, hop = draw(st.sampled_from(_FRAMINGS))
+    window, hop = draw(st.sampled_from(framings))
     block = max(1, 2**18 // window)
     frames = draw(
         st.sampled_from([0, 1, 2, 3, block - 1, block, block + 1, 2 * block, 2 * block + 1])
@@ -394,16 +410,31 @@ def _noise_frames(window, hop, frames):
     return np.random.default_rng(frames).standard_normal(window + (frames - 1) * hop), window, hop
 
 
-@given(_framed_signal(), st.sampled_from(["max", "none"]))
-# A last frame past a whole block, and blocks capped at one frame by
-# their 2**18-sample size: a one-row block would fold in another order.
+@given(
+    _framed_signal([(ChromagramConfig.window_size, ChromagramConfig.hop_size)]),
+    st.sampled_from(["max", "none"]),
+)
+# A last frame past a whole block: a one-row block would fold in another order.
 @example(_noise_frames(4096, 2048, 65), "none")
-@example(_noise_frames(2**18, 2**17, 3), "none")
 def test_chromagram_matches_gather_reference(case, normalization):
-    x, window, hop = case
-    config = ChromagramConfig(window_size=window, hop_size=hop, normalization=normalization)
+    x, _, _ = case
+    config = ChromagramConfig(normalization=normalization)
     mat = compute_chromagram(AudioBuffer(x, 44100), config)
     assert np.array_equal(mat.values, _gather_chromagram(x, 44100, config))
+
+
+# A last frame past a whole block, and blocks capped at one frame by
+# their 2**18-sample size: each joins its neighbour, so no block is a
+# single row (see _stft_blocks).
+@pytest.mark.parametrize("window, hop, frames", [(4096, 2048, 65), (2**18, 2**17, 3)])
+def test_stft_blocks_hold_no_single_frame(window, hop, frames):
+    x, _, _ = _noise_frames(window, hop, frames)
+    n_frames, blocks = _stft_blocks(x, window, hop)
+    blocks = list(blocks)
+    assert n_frames == frames
+    assert min(len(mags) for _, mags in blocks) >= 2
+    mags = np.concatenate([mags for _, mags in blocks])
+    assert np.array_equal(mags, _gather_stft(x, window, hop))
 
 
 def _padded_stft(x, window, hop, lead):

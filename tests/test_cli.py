@@ -340,6 +340,58 @@ def test_flags_beat_config_file(tmp_path, capsys):
     assert doc["bpm"] == 120.0
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"min-bpm": None},
+        {"frame-rate": [50]},
+        {"sample-rate": 22050.5},
+        {"sample-rate": True},
+        {"beats-per-bar": "four"},
+        {"bpm": {}},
+        {"frame-rate": False},
+        {"csv": 1},
+        {"csv": "true"},
+        {"encoding": "mp3"},
+        {"verbose": True},
+    ],
+    ids=json.dumps,
+)
+@pytest.mark.parametrize("command", ["beats", "encode", "parse", "remix"])
+def test_config_values_its_flags_would_refuse_are_input_errors(
+    tmp_path, capsys, input_wav, value, command
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))
+    out = tmp_path / "out.json"
+    argv = {
+        "beats": ["beats", str(input_wav)],
+        "encode": ["encode", "--chords", str(tmp_path / "chords.json")],
+        "parse": ["parse", "C:maj", "--bpm", "120"],
+        "remix": ["remix", str(input_wav), "--prompt", "p", "--dry-run"],
+    }[command]
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"chordweave: error: config file option {next(iter(value))!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_values_are_typed_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beats-per-bar": 3.0, "beat-unit": "8", "bpm": 90, "verbose": 1}))
+    assert run(["parse", "C:maj", "--bpm", "120", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["time_signature"] == [3, 8]
+    assert "1 events" in captured.err
+    cfg.write_text(json.dumps({"frame-rate": "25", "csv": True}))
+    chords, out = tmp_path / "chords.json", tmp_path / "chroma.csv"
+    run(["parse", "C:maj G:maj", "--bpm", "120", "--out", str(chords)])
+    assert run(["encode", "--chords", str(chords), "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 100
+
+
 def _child_env():
     """Environment in which a child Python imports the chordweave this test imported."""
     env = dict(os.environ)

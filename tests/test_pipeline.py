@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import threading
@@ -7,6 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from chordweave.analysis import ChromagramConfig
 from chordweave.audio import AudioBuffer, encode_wav, to_mono
 from chordweave.chords import parse_progression
 from chordweave.chroma import chroma_matrix_to_dict, render_matrix
@@ -322,6 +324,30 @@ def test_peak_normalize_rejects_non_finite_ceiling(bad):
 def test_remix_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
         RemixConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("rate", [22050.5, True])
+def test_remix_config_rejects_a_rate_that_is_not_a_whole_number(rate):
+    with pytest.raises(ValueError, match="sample_rate"):
+        RemixConfig(sample_rate=rate)
+
+
+_FIXED = {
+    RemixConfig: {"beat_window_size": 1024, "beat_hop_size": 512, "bpm_seed_tolerance": 0.10},
+    ChromagramConfig: {"window_size": 4096, "hop_size": 2048, "fmin_hz": 65.4, "fmax_hz": 2093.0},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(cls, name) for cls, names in _FIXED.items() for name in names]
+)
+def test_fixed_resolutions_are_constants(cls, name):
+    # Every caller reads the analysis at one resolution, perfbench's traced
+    # twin included, so each value is read off the config but never set.
+    assert getattr(cls(), name) == _FIXED[cls][name]
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(TypeError):
+        cls(**{name: _FIXED[cls][name]})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
