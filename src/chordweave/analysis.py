@@ -86,14 +86,22 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     return ChromaMatrix(values, buffer.sample_rate / config.hop_size)
 
 
+def _check_silence_floor(silence_floor: float) -> None:
+    """Refuse a floor no energy compares with: against NaN every frame reads silent."""
+    if not -np.inf < silence_floor < np.inf:
+        raise ValueError(f"silence_floor must be finite, got {silence_floor!r}")
+
+
 def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = SILENCE_FLOOR) -> ChromaMatrix:
     """Reduce each frame to a single winning bin.
 
     A frame whose total energy (the sum of its bins, taken from the
     matrix as given, so pass an unnormalised chromagram) is at or below
     `silence_floor` becomes all zeros; otherwise the maximal bin gets 1.0,
-    ties going to the lowest bin index.
+    ties going to the lowest bin index.  A floor that is not finite
+    raises ValueError.
     """
+    _check_silence_floor(silence_floor)
     energies = matrix.values.sum(axis=1)
     out = np.zeros_like(matrix.values)
     voiced = energies > silence_floor

@@ -120,6 +120,7 @@ def _cmd_beats(args) -> int:
 
 def _cmd_melody(args) -> int:
     config = _config(args)
+    analysis._check_silence_floor(args.silence_floor)
     audio = _load_mono(args.audio, config.sample_rate)
     raw = analysis.compute_chromagram(
         audio, dataclasses.replace(config.chromagram, normalization="none")
@@ -162,6 +163,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_remix(args) -> int:
     config = _config(args)
+    pipeline._check_timeout(args.timeout_s)
     instrumental = read_wav(args.audio)
     vocals = read_wav(args.vocals) if args.vocals else None
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)

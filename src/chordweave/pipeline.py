@@ -347,6 +347,13 @@ def _read_capped(response, limit: int) -> bytes | None:
     return None
 
 
+def _check_timeout(timeout_s: float) -> None:
+    """Refuse a timeout that is not finite and > 0 before any work: urllib
+    checks it only when it opens the socket."""
+    if not 0 < timeout_s < np.inf:
+        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
+
+
 def request_generation(
     req: GenerationRequest,
     endpoint: str | None = None,
@@ -364,6 +371,8 @@ def request_generation(
     reading when its Content-Length declares it, otherwise as soon as
     the bytes read pass the cap.  dry_run writes the exact request
     document to out_path and returns None without touching the network.
+    Live mode refuses a timeout_s that is not finite and > 0 with
+    ValueError.
     """
     if mode == "dry_run":
         if out_path is None:
@@ -372,6 +381,7 @@ def request_generation(
         return None
     if mode != "live":
         raise ValueError(f"mode must be 'live' or 'dry_run', got {mode!r}")
+    _check_timeout(timeout_s)
     if not endpoint:
         raise TransportError("no endpoint configured; pass one or set CHORDWEAVE_ENDPOINT")
     body = json.dumps(generation_request_to_dict(req)).encode("utf-8")
@@ -498,10 +508,13 @@ def run_remix(
     """The whole pipeline; returns (bundle, request, mix-or-None).
 
     In dry_run mode the request document lands at out_path and the mix
-    is None.
+    is None.  Live mode checks timeout_s as request_generation does,
+    before any step runs.
     """
     if config is None:
         config = RemixConfig()
+    if mode == "live":
+        _check_timeout(timeout_s)
     stems = ingest_stems(instrumental, vocals, config)
     bundle = prepare_conditioning(stems, prompt, config)
     req = build_request(bundle)

@@ -2,13 +2,28 @@
 
 Stretching shifts durations without shifting pitch: Hann-windowed grains
 are laid down half a grain apart (the synthesis hop is not an option)
-while their analysis positions slide through the input at the stretch
-ratio, each nudged within a search tolerance to best continue the
-previous grain.  Anchor maps apply a different ratio per segment so
-specific instants (downbeats) land exactly where asked, and
-align_to_anchors is the one way in: a whole-buffer stretch of n samples
-by one ratio is the one-segment map ((0, 0), (n / rate,
-round(n * ratio) / rate)).
+while their analysis positions follow a time map through the input, each
+nudged within a search tolerance to best continue the previous grain.
+An anchor map, piecewise linear between its pairs, is that time map, so
+specific instants (downbeats) land exactly where asked.  align_to_anchors
+is the one way in: a whole-buffer stretch of n samples by one ratio is
+the one-segment map ((0, 0), (n / rate, round(n * ratio) / rate)).
+
+One grain grid and one overlap-add span the whole output, so nothing is
+cut at an anchor.  Grain k lands at output sample k * hop, and its
+nominal source start is the map read there.  Each interior anchor, at
+source sample S and target sample T, holds a pair of grains: the pin,
+grain k = T // hop - 1, starts at S - T + k * hop, which puts S exactly
+at output T in its second half, and grain k - 1 one hop earlier in the
+source, so the pair plays the source unbroken from one to two hops
+before the anchor on.  The grains before the pair fade into it there,
+away from the transient a downbeat anchor marks; the pin alone would
+end that fade up to one hop before the anchor.  The offset search
+restarts after each pair: each pin and the grains after it up to the
+next pair form a chain, whose nominal starts are the map shifted to
+pass through the pin, and no grain of a chain starts later than one
+grain before the next pair, so none carries the next anchor's sound
+early.
 
 The offset search scores candidate grains by their correlation with the
 continuation of the previous one, coarse to fine: the correlation of
@@ -26,18 +41,17 @@ miss the grain an exhaustive search of every lag would take, but only
 where the box sums rank the candidates differently from the exact
 scores.
 
-The warp's output is allocated once and every segment writes its own
-slice of it.  Segments are independent once their anchors are fixed, so
-when the output holds at least PARALLEL_MIN_SAMPLES samples the WSOLA
-segments are split into groups of about equal grain counts, one per CPU
-available to the process (at most one per segment): the calling thread
-works one group and worker threads the rest, each with its own offset
-search.  NumPy's FFTs and array loops release the interpreter lock, so
-the groups run side by side.  No segment's arithmetic depends on which
-group holds it, so the output is byte-identical to a one-thread run.
-Below the threshold, as for short clips, the calling thread warps alone.
+Chains are independent, so when the output holds at least
+PARALLEL_MIN_SAMPLES samples the warp runs on one thread per CPU
+available to the process, in two phases: groups of chains of about
+equal grain counts are searched side by side, and then ranges of the
+output of about equal length are overlap-added side by side.  The
+calling thread takes the first of each, and NumPy's FFTs and array
+loops release the interpreter lock.  No chain's or range's arithmetic
+depends on its thread, so the output is byte-identical to a one-thread
+run.  Below the threshold, as for short clips, the calling thread warps
+alone.
 """
-
 from __future__ import annotations
 
 import os
@@ -67,18 +81,18 @@ DECIMATION = 4
 # interleaved runs on a 2-vCPU guest, one thread against two:
 # - prepare_conditioning's analysis split pays from about 45 s (2.0M
 #   samples): 51 against 35 ms at 45 s, 70 against 38 ms at 60 s.
-# - The warp's groups pay only from about 120 s (5.3M samples): 109
-#   against 159 ms at 45 s, 232 against 252 ms at 90 s, 439 against
-#   324 ms at 150 s.  Below that, each group's search holds so few
-#   segments that its steps are mostly interpreter work, which the
-#   threads take turns at.
+# - The warp's groups paid only from about 120 s (5.3M samples) when each
+#   anchor segment was warped on its own: 109 against 159 ms at 45 s, 232
+#   against 252 ms at 90 s, 439 against 324 ms at 150 s.  Below that, each
+#   group's search held so few segments that its steps were mostly
+#   interpreter work, which the threads take turns at.
 PARALLEL_MIN_SAMPLES = 2_000_000
 
 # A distance past every candidate's, for scores outside the near-tie band.
 _FAR = np.iinfo(np.int64).max
 
-# Grains overlap-added per gather, which bounds the gathered grains to
-# this many rows whatever the segment's length.
+# Output rows of one hop overlap-added per gather, which bounds the
+# gathered grains to one more than this whatever the output's length.
 _OLA_BLOCK = 512
 
 
@@ -143,24 +157,60 @@ def _pick(scores: np.ndarray, norms: np.ndarray, distance: np.ndarray) -> np.nda
     return np.argmin(distance, axis=1)
 
 
-def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.ndarray]:
-    """Chosen analysis start of every grain of every span of `mono`.
+def _chains(src: np.ndarray, dst: np.ndarray, n: int, config: WsolaConfig) -> list:
+    """The warp's grains as chains of (nominal starts, last start).
 
-    `spans` holds (offset, length, target_len) triples, one per segment
-    to stretch; the starts come back relative to each segment.  Segments
-    are independent, so step k searches the k-th grain of every segment
-    that has one, one row each, coarse to fine:
+    `src` and `dst` hold the anchors' source and target sample positions,
+    dst[-1] > 0, and n >= frame_length is the buffer's length.  Grain k's
+    map start is src[j] + rint((k * hop - dst[j]) * (src[j + 1] - src[j])
+    / (dst[j + 1] - dst[j])) in the segment j that holds k * hop.  Chains
+    start at grain 0 and at each grain of each held pair (see the module
+    docstring), and a pair that would reach back to grain 0 or the last
+    pair is not held.  A chain's first grain takes its held start, and
+    the rest the map starts shifted through it, clamped to [0, last].
+    """
+    grain, hop = config.frame_length, config.hop
+    n_grains = max(-(-(dst[-1] - grain) // hop), 0) + 1
+    at = np.arange(n_grains) * hop
+    j = np.searchsorted(dst, at, side="right") - 1
+    step = (at - dst[j]) * (src[j + 1] - src[j]) / (dst[j + 1] - dst[j])
+    mapped = src[j] + np.rint(step).astype(np.int64)
+    heads = [(0, 0)]  # each chain's first grain and its start
+    for s, t in zip(src[1:-1], dst[1:-1]):
+        k = t // hop - 1
+        if k - 1 > heads[-1][0]:
+            pin = min(max(s - t + k * hop, 0), n - grain)
+            heads += [(k - 1, max(pin - hop, 0)), (k, pin)]
+    chains = []
+    for (first, start), (stop, end) in zip(heads, heads[1:] + [(n_grains, n)]):
+        last = max(end - grain, 0)
+        nominal = np.clip(mapped[first:stop] + (start - mapped[first]), 0, last)
+        nominal[0] = start
+        chains.append((nominal, last))
+    return chains
 
-    - Coarse: the template and the search region x[lo : hi + grain],
-      both zero past the segment's end, are gathered from `mono` and
-      summed in boxes of DECIMATION samples from their first sample.  The
-      box sums are correlated with one row-wise FFT of size
-      next_pow2(ceil((2 * search_tolerance + frame_length) / DECIMATION)),
-      512 by default: the correlation is circular, but no searched coarse
-      lag reads past the end of its row.  Coarse lag c, which sums the
-      products of the lags within DECIMATION of DECIMATION * c, is
-      searched where DECIMATION * c lies inside the window, and the
-      near-tie rule picks one, measuring DECIMATION * c from nominal.
+
+def _search_offsets(mono: np.ndarray, chains, config: WsolaConfig) -> list[np.ndarray]:
+    """Chosen start, in `mono`, of every grain of every chain.
+
+    `chains` holds (nominal starts, last start) pairs as _chains gives
+    them.  A chain's first grain takes its nominal start; each later one
+    is searched among the starts within search_tolerance of its nominal
+    start, and at most the chain's last start.  Chains are independent,
+    so step k searches the k-th grain of every chain that has one, one
+    row each, coarse to fine:
+
+    - Coarse: the template, which continues the previous grain and is
+      zero past the end of `mono`, and the search region x[lo : hi +
+      grain] are gathered from `mono` and summed in boxes of DECIMATION
+      samples from their first sample.  The box sums are correlated with
+      one row-wise FFT of size next_pow2(ceil((2 * search_tolerance +
+      frame_length) / DECIMATION)), 512 by default: the correlation is
+      circular, but no searched coarse lag reads past the end of its row.
+      Coarse lag c, which sums the products of the lags within DECIMATION
+      of DECIMATION * c, is searched where DECIMATION * c lies inside the
+      window, and the near-tie rule picks one, measuring DECIMATION * c
+      from nominal.
     - Refine: the lags DECIMATION * (c - 1) ... DECIMATION * (c + 1)
       inside the window are scored with exact dot products, and the
       near-tie rule picks the grain among them.
@@ -168,11 +218,11 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
     The box sums go to buffers allocated once per search.
     """
     grain, hop, tol = config.frame_length, config.hop, config.search_tolerance
-    # Segments in order of falling grain count, so that the segments a step
+    n = len(mono)
+    # Chains in order of falling grain count, so that the chains a step
     # searches are always the first rows.
-    counts = np.array([-(-(target_len - grain) // hop) + 1 for _, _, target_len in spans])
+    counts = np.array([len(nominal) for nominal, _ in chains])
     order = np.argsort(-counts, kind="stable")
-    offset, n, target = (np.array([spans[i][col] for i in order], np.int64) for col in range(3))
     counts = counts[order]
     steps = counts[0]
     searched = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
@@ -184,37 +234,34 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
     # Templates and regions are gathered as whole boxes, and the refine's
     # lags read one run each.
     widths = DECIMATION * box_grain, DECIMATION * box_width, grain + 2 * DECIMATION
-    if len(mono) < max(widths):  # too short for the window views
-        mono = np.concatenate([mono, np.zeros(max(widths) - len(mono))])
+    if n < max(widths):  # too short for the window views
+        mono = np.concatenate([mono, np.zeros(max(widths) - n)])
     template_windows, region_windows, fine_sources = (
         np.lib.stride_tricks.sliding_window_view(mono, w) for w in widths
     )
     # The FFT's inputs, zero past the box sums each step writes.
-    box_templates = np.zeros((len(spans), size))
-    box_regions = np.zeros((len(spans), size))
-    pairs = np.empty((len(spans), 2 * box_width))
-    # Row k holds step k: each grain's nominal start, as round(k * hop * n /
-    # target_len) in Python for products below 2**53, clamped to the
-    # segment, and its window, which starts at `window_at` in `mono` and
-    # holds window_span + 1 starts.  `ahead` is nominal less the window's
-    # first start.
-    nominal = np.rint(np.arange(steps)[:, None] * hop * n / target).astype(np.int64)
-    nominal = np.clip(nominal, 0, n - grain)
+    box_templates = np.zeros((len(chains), size))
+    box_regions = np.zeros((len(chains), size))
+    pairs = np.empty((len(chains), 2 * box_width))
+    # Row k holds step k: each grain's nominal start and its window, which
+    # starts at `lo` and holds window_span + 1 starts.  `ahead` is nominal
+    # less the window's first start.
+    nominal = np.zeros((steps, len(chains)), np.int64)
+    for row, i in enumerate(order):
+        nominal[: counts[row], row] = chains[i][0]
+    last = np.array([chains[i][1] for i in order])
     lo = np.maximum(nominal - tol, 0)
-    window_span = np.minimum(nominal + tol, n - grain) - lo
-    window_at = offset + lo
+    window_span = np.minimum(nominal + tol, last) - lo
     ahead = nominal - lo
-    # Chosen starts, in `mono`; each segment's first grain takes its first sample.
-    starts = np.empty((steps, len(spans)), np.int64)
-    starts[0] = offset
+    starts = np.empty((steps, len(chains)), np.int64)
+    starts[0] = nominal[0]
     for k in range(1, steps):
         r = searched[k]
-        at, span = window_at[k, :r], window_span[k, :r]
-        # The template continues the previous grain and is zero past the
-        # segment's end; the region is the window's starts plus one grain.
+        at, span = lo[k, :r], window_span[k, :r]
+        # The template continues the previous grain; the region is the
+        # window's starts plus one grain.
         follow = starts[k - 1, :r] + hop
-        ends = offset[:r] + n[:r]
-        template = _rows(mono, template_windows, follow, np.minimum(ends - follow, grain))
+        template = _rows(mono, template_windows, follow, np.minimum(n - follow, grain))
         region = _rows(mono, region_windows, at, span + grain)
         box_template, box_region = box_templates[:r], box_regions[:r]
         _box_sums(template, box_template[:, :box_grain], pairs[:r, : 2 * box_grain])
@@ -248,70 +295,49 @@ def _search_offsets(mono: np.ndarray, spans, config: WsolaConfig) -> list[np.nda
         fine[outside] = -np.inf
         chosen = _pick(fine, _norms(template, region), np.abs(lags - ahead[k, :r, None]))
         starts[k, :r] = first + chosen
-    chosen_starts = [None] * len(spans)
-    for row, i in enumerate(order):
-        chosen_starts[i] = starts[: counts[row], row] - offset[row]
-    return chosen_starts
+    return [starts[: counts[row], row] for row in np.argsort(order)]
 
 
 def _overlap_add(
-    x: np.ndarray,
-    starts: np.ndarray,
-    out: np.ndarray,
-    config: WsolaConfig,
-    halves: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    x: np.ndarray, starts: np.ndarray, out: np.ndarray, r0: int, r1: int, halves: np.ndarray
 ):
-    """Overlap-add the Hann-windowed grains x[:, s : s + grain] for s in starts into out.
+    """Rows r0 to r1 - 1 of out (row r holds samples r * hop to (r + 1) *
+    hop) from the Hann-windowed grains x[:, s : s + grain], s in starts.
 
-    Grain k lands at k * hop, half a grain apart; the sum is divided by
-    the summed window where that exceeds 1e-8, and its first
-    out.shape[1] samples are written.  Every start must leave a whole
-    grain inside x.  `halves` is the Hann window as two rows of one hop,
-    and `scratch` is _ola_scratch for at least len(starts) grains, which
-    this overwrites.
-
-    The sum is laid out as rows of one hop each: grain k adds its first
-    half to output row k and its second half to row k + 1.  No output
-    sample has more than those two addends, and a sum of two is the same
-    in either order, so the result is bit-identical to a loop over grains.
+    Row r sums the first half of grain r and the second half of grain
+    r - 1, where those exist, divided by their summed window where that
+    exceeds 1e-8.  A sum of two is the same in either order, so the rows
+    are bit-identical to a loop over grains however they are split
+    between calls.  Every start must leave a whole grain inside x.
+    `halves` is the Hann window as two rows of one hop.
     """
-    grain, hop = config.frame_length, config.hop
-    n_grains = len(starts)
-    window = halves.reshape(-1)
-    sums, windowed = scratch
-    total, weight = sums[:, : n_grains + 1]
-    weight.fill(0.0)
-    weight[:-1] += halves[0]
-    weight[1:] += halves[1]
-    weight = weight.reshape(-1)[: out.shape[1]]
-    divide = weight > 1e-8
-    for ch, dest in zip(x, out):
-        grains = np.lib.stride_tricks.sliding_window_view(ch, grain)
-        total.fill(0.0)
-        for first in range(0, n_grains, _OLA_BLOCK):
-            block = starts[first : first + _OLA_BLOCK]
+    hop = halves.shape[1]
+    grains = [np.lib.stride_tricks.sliding_window_view(ch, 2 * hop) for ch in x]
+    total = np.empty((_OLA_BLOCK, hop))
+    windowed = np.empty((_OLA_BLOCK + 1, 2, hop))
+    for b0 in range(r0, r1, _OLA_BLOCK):
+        b1 = min(b0 + _OLA_BLOCK, r1)
+        # Rows b0 to b1 - 1 take halves of grains g0 to g1 - 1: grain
+        # b0 - 1, when it exists, lends its second half only.
+        g0, g1 = max(b0 - 1, 0), min(b1, len(starts))
+        lent = b0 - g0
+        block = starts[g0:g1]
+        weight = np.broadcast_to(halves[0] + halves[1], (b1 - b0, hop))
+        if b0 == 0 or b1 > len(starts):  # an end row holds one grain's half
+            row = np.arange(b0, b1)[:, None]
+            weight = (row < len(starts)) * halves[0] + (row > 0) * halves[1]
+        divide = weight > 1e-8
+        rows = total[: b1 - b0]
+        for ch, dest in zip(grains, out):
             chunks = windowed[: len(block)]
-            np.multiply(grains[block], window, out=chunks)
-            chunks = chunks.reshape(len(block), 2, hop)
-            total[first : first + len(block)] += chunks[:, 0]
-            total[first + 1 : first + 1 + len(block)] += chunks[:, 1]
-        dest[:] = total.reshape(-1)[: len(dest)]
-        np.divide(dest, weight, out=dest, where=divide)
-
-
-def _ola_scratch(n_grains: int, config: WsolaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for _overlap_add of up to n_grains grains: the sum and the
-    summed window as rows of one hop, and one block of windowed grains.
-
-    A warp reuses them from segment to segment.  Allocated per segment,
-    buffers of this size are fresh pages from the system each time, and
-    filling those cost the overlap-add more than its arithmetic.
-    """
-    return (
-        np.empty((2, n_grains + 1, config.hop)),
-        np.empty((min(n_grains, _OLA_BLOCK), config.frame_length)),
-    )
+            np.multiply(ch[block].reshape(-1, 2, hop), halves, out=chunks)
+            seconds = chunks[: b1 - 1 - g0, 1]
+            rows.fill(0.0)
+            rows[: len(block) - lent] += chunks[lent:, 0]
+            rows[1 - lent : 1 - lent + len(seconds)] += seconds
+            np.divide(rows, weight, out=rows, where=divide)
+            span = dest[b0 * hop : b1 * hop]
+            span[:] = rows.reshape(-1)[: len(span)]
 
 
 def _available_cpus() -> int:
@@ -329,7 +355,7 @@ def _thread_count(n_samples: int) -> int:
 
 
 def _groups(n_grains: np.ndarray, workers: int) -> list[np.ndarray]:
-    """Split segment indices into at most `workers` consecutive runs of about equal grains."""
+    """Split chain indices into at most `workers` consecutive runs of about equal grains."""
     total = np.cumsum(n_grains)
     cuts = np.searchsorted(total, total[-1] * np.arange(1, workers) / workers, side="right")
     return [group for group in np.split(np.arange(len(n_grains)), cuts) if group.size]
@@ -353,54 +379,6 @@ def _run_split(calls: list) -> list:
         futures = [pool.submit(call) for call in calls[1:]]
         first = calls[0]()
         return [first] + [future.result() for future in futures]
-
-
-def _stretch_segments(samples: np.ndarray, bounds, config: WsolaConfig) -> np.ndarray:
-    """Stretch samples[:, lo:hi] to exactly target_len samples per (lo, hi, target_len).
-
-    The stretched segments come back end to end in one new array.  A
-    segment already target_len long is copied, and one too short to
-    grain is resampled.  The rest are stretched by WSOLA, with grain
-    offsets searched on the channel mean so channels stay phase-locked,
-    in one search per group of segments (see the module docstring).
-    """
-    lengths = [target_len for _, _, target_len in bounds]
-    out = np.empty((samples.shape[0], sum(lengths)))
-    spans, slots = [], []
-    for (lo, hi, target_len), at in zip(bounds, np.cumsum([0] + lengths)):
-        dest = out[:, at : at + target_len]
-        n = hi - lo
-        if n == target_len:
-            dest[:] = samples[:, lo:hi]
-        elif n == 0:
-            dest[:] = 0.0
-        elif n <= config.frame_length or target_len <= config.frame_length:
-            # Too short to grain: fall back to resampling the waveform.
-            src = np.arange(n, dtype=np.float64)
-            dst = np.linspace(0.0, n - 1, target_len)
-            for ch, row in zip(samples[:, lo:hi], dest):
-                row[:] = np.interp(dst, src, ch)
-        else:
-            spans.append((lo, n, target_len))
-            slots.append(dest)
-    if not spans:
-        return out
-    mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
-    grain, hop = config.frame_length, config.hop
-    halves = np.hanning(grain).reshape(2, hop)
-
-    def stretch(group):
-        group_spans = [spans[i] for i in group]
-        scratch = _ola_scratch(max(n_grains[i] for i in group), config)
-        for i, starts in zip(group, _search_offsets(mono, group_spans, config)):
-            lo, n, _ = spans[i]
-            _overlap_add(samples[:, lo : lo + n], starts, slots[i], config, halves, scratch)
-
-    workers = min(_thread_count(out.shape[1]), len(spans))
-    n_grains = [-(-(target_len - grain) // hop) + 1 for _, _, target_len in spans]
-    groups = _groups(np.array(n_grains), workers)
-    _run_split([partial(stretch, group) for group in groups])
-    return out
 
 
 @dataclass(frozen=True)
@@ -457,12 +435,13 @@ def build_anchor_map(source: BeatGrid, target: BeatGrid) -> AnchorMap:
 def align_to_anchors(
     buffer: AudioBuffer, anchors: AnchorMap, config: WsolaConfig | None = None
 ) -> AudioBuffer:
-    """Warp a buffer piecewise so each source anchor lands on its target.
+    """Warp a buffer along an anchor map so each source anchor lands on its target.
 
-    Segment i (between consecutive anchor pairs) is stretched by its own
-    ratio, which must stay inside [0.25, 4].  The output holds exactly
-    round(last_target * rate) samples; input past the last source anchor
-    is dropped.
+    Each segment's ratio, target over source duration, must stay inside
+    [0.25, 4], and each interior anchor lands exactly (see the module
+    docstring).  The output holds exactly round(last_target * rate)
+    samples; input past the last source anchor is dropped, but for what
+    the last grains read.
     """
     return AudioBuffer._adopt(_aligned_samples(buffer, anchors, config), buffer.sample_rate)
 
@@ -486,12 +465,30 @@ def _aligned_samples(
                 f"segment [{s0:g}, {s1:g}] s needs ratio {ratio:.3f}, "
                 f"outside [{RATIO_MIN}, {RATIO_MAX}]"
             )
-    bounds = [
-        (
-            min(int(round(s0 * rate)), buffer.n_samples),
-            min(int(round(s1 * rate)), buffer.n_samples),
-            int(round(t1 * rate)) - int(round(t0 * rate)),
-        )
-        for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:])
-    ]
-    return _stretch_segments(buffer.samples, bounds, config)
+    src = np.array([min(int(round(s * rate)), buffer.n_samples) for s, _ in anchors.pairs])
+    dst = np.array([int(round(t * rate)) for _, t in anchors.pairs])
+    samples, length = buffer.samples, int(dst[-1])
+    if length == 0 or np.array_equal(src, dst):  # the identity map, or no output
+        return samples[:, :length].copy()
+    grain, hop = config.frame_length, config.hop
+    if samples.shape[1] < grain:  # zeros stand in past the end for the one grain
+        samples = np.pad(samples, ((0, 0), (0, grain - samples.shape[1])))
+    chains = _chains(src, dst, samples.shape[1], config)
+    # Offsets are searched on the channel mean, so channels stay phase-locked.
+    mono = samples.mean(axis=0) if samples.shape[0] > 1 else samples[0]
+    firsts = np.cumsum([0] + [len(nominal) for nominal, _ in chains])
+    starts = np.empty(firsts[-1], np.int64)
+
+    def search(group):
+        for i, chosen in zip(group, _search_offsets(mono, [chains[i] for i in group], config)):
+            starts[firsts[i] : firsts[i + 1]] = chosen
+
+    workers = _thread_count(length)
+    _run_split([partial(search, g) for g in _groups(np.diff(firsts), min(workers, len(chains)))])
+    out = np.empty((samples.shape[0], length))
+    halves = np.hanning(grain).reshape(2, hop)
+    rows = -(-length // hop)
+    cuts = [rows * i // workers for i in range(workers + 1)]
+    ranges = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0]
+    _run_split([partial(_overlap_add, samples, starts, out, *rs, halves) for rs in ranges])
+    return out

@@ -241,6 +241,31 @@ def test_criterion_7_end_to_end(tmp_path, stub_server):
     )
 
 
+def test_criterion_7_downbeat_clicks_keep_their_peak(stub_server):
+    # Criterion 7's remix, read at each warped downbeat click: every one
+    # keeps the 0.768 peak of the backend's accented click.  A warp split
+    # at its anchors dimmed the third to 0.505.
+    start = 0.25
+    prog = parse_progression("C:maj G:maj C:maj G:maj", bpm=120)
+    layers = [click_track(120.0, 8.0, SR, accent_every=4, start_s=start)]
+    for ev in prog.events:
+        tones = chord_tones(sorted(ev.chord.pitch_classes()), ev.duration_s, SR, amplitude=0.3)
+        layers.append(concat([silence(ev.start_s + start, SR), tones]))
+    instrumental = mix(layers)
+    url, state = stub_server
+    state["body"] = encode_wav(
+        click_track(126.0, instrumental.duration_s, SR, accent_every=4, start_s=start), "pcm16"
+    )
+    bundle, _, final = run_remix(
+        instrumental, None, "jazzy", RemixConfig(), endpoint=url, mode="live", timeout_s=30.0
+    )
+    x = np.abs(to_mono(final).samples[0])
+    downbeats = [d for d in bundle.beat_grid.downbeats_s if d < final.duration_s - 0.05]
+    peaks = [x[round((d - 0.025) * SR) : round((d + 0.025) * SR)].max() for d in downbeats]
+    assert len(peaks) >= 3
+    assert min(peaks) >= 0.95 * 0.768, peaks
+
+
 def test_criterion_8_serialization_identity(tmp_path):
     t0 = time.perf_counter()
     rng = random.Random(20260822)

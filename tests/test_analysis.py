@@ -73,6 +73,13 @@ def test_melody_one_hot_silence_floor():
     assert np.flatnonzero(values[1]) == [4]
 
 
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+def test_melody_one_hot_refuses_a_floor_that_is_not_finite(floor):
+    # Against NaN every frame reads silent, and the melody comes back empty.
+    with pytest.raises(ValueError, match="silence_floor"):
+        melody_one_hot(ChromaMatrix(np.eye(12), 50.0), floor)
+
+
 def test_template_bank_layout():
     chords, vectors = _templates(("maj", "min"))
     assert len(chords) == 25 and vectors.shape == (25, 12)

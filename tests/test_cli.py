@@ -307,6 +307,32 @@ def test_encode_hostile_chord_field_is_exit_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_melody_non_finite_silence_floor_is_exit_1_before_reading(tmp_path, bad):
+    # No WAV lies at the path, so reading it first would exit 2.
+    wav = tmp_path / "missing.wav"
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweave.cli", "melody", str(wav), f"--silence-floor={bad}"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert "chordweave: error: silence_floor must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("dry_run", [False, True], ids=["live", "dry_run"])
+def test_remix_bad_timeout_is_exit_1_before_any_work(tmp_path, bad, dry_run, capsys):
+    # No WAV lies at the path, so reading it first would exit 2.
+    argv = ["remix", str(tmp_path / "missing.wav"), "--prompt", "p", f"--timeout-s={bad}"]
+    argv += ["--dry-run"] * dry_run + ["--endpoint", "http://127.0.0.1:9"]
+    argv += ["--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    assert "chordweave: error: timeout_s must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"frame-rate": NaN}', "{nope"])
 def test_config_file_must_be_a_json_object(tmp_path, text, capsys):
     cfg = tmp_path / "cfg.json"

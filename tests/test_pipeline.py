@@ -291,6 +291,20 @@ def test_live_unreachable_endpoint_is_transport_error(bundle):
         )
 
 
+@pytest.mark.parametrize("timeout_s", [-1.0, 0.0, np.nan, np.inf])
+def test_live_timeout_is_checked_before_any_work(monkeypatch, instrumental, bundle, timeout_s):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pipeline, "ingest_stems", no_work)
+    monkeypatch.setattr(urllib.request, "urlopen", no_work)
+    url = "http://127.0.0.1:9"
+    with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
+        request_generation(build_request(bundle), endpoint=url, mode="live", timeout_s=timeout_s)
+    with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
+        run_remix(instrumental, None, "p", endpoint=url, mode="live", timeout_s=timeout_s)
+
+
 def test_live_requires_endpoint(bundle):
     with pytest.raises(TransportError):
         request_generation(build_request(bundle), endpoint=None, mode="live")
@@ -442,10 +456,10 @@ def test_warp_error_in_a_worker_is_a_step_4_error(monkeypatch, instrumental, bun
     failure = ValueError("grain search failed")
     search = timewarp._search_offsets
 
-    def failing_in_workers(mono, spans, config):
+    def failing_in_workers(mono, chains, config):
         if threading.get_ident() != caller:
             raise failure
-        return search(mono, spans, config)
+        return search(mono, chains, config)
 
     monkeypatch.setattr(timewarp, "_search_offsets", failing_in_workers)
     config = RemixConfig()

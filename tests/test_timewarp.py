@@ -105,14 +105,76 @@ def _reference_to_length(samples, target_len, config):
     return np.stack([_reference_overlap_add(ch, starts, target_len, config) for ch in samples])
 
 
+# The warp along a whole anchor map, one grain at a time: the map read at
+# each grain's output position, a held pair of grains per interior anchor,
+# each chain's nominal starts shifted through its first grain and capped
+# one grain before the next pair, one search per grain and one
+# overlap-add.  On a one-segment map it is _reference_to_length's WSOLA.
+
+
+def _reference_chains(n, src, dst, config):
+    """Each chain's (nominal starts, last start) over a buffer of n >= grain samples."""
+    grain, hop = config.frame_length, config.hop
+    n_grains = 1 if dst[-1] <= grain else int(np.ceil((dst[-1] - grain) / hop)) + 1
+
+    def mapped(k):
+        j = max(i for i in range(len(dst) - 1) if dst[i] <= k * hop)
+        return src[j] + round((k * hop - dst[j]) * (src[j + 1] - src[j]) / (dst[j + 1] - dst[j]))
+
+    heads = [(0, 0)]
+    for s, t in zip(src[1:-1], dst[1:-1]):
+        k = t // hop - 1
+        if k - 1 > heads[-1][0]:
+            pin = min(max(s - t + k * hop, 0), n - grain)
+            heads += [(k - 1, max(pin - hop, 0)), (k, pin)]
+    chains = []
+    for (first, start), (stop, end) in zip(heads, heads[1:] + [(n_grains, n)]):
+        last, shift = max(end - grain, 0), start - mapped(first)
+        nominal = [min(max(mapped(k) + shift, 0), last) for k in range(first + 1, stop)]
+        chains.append(([start] + nominal, last))
+    return chains
+
+
+def _reference_chain_offsets(x, nominal, last, config):
+    grain, hop, tol = config.frame_length, config.hop, config.search_tolerance
+    starts = [nominal[0]]
+    for k in range(1, len(nominal)):
+        prev = starts[-1]
+        template = x[prev + hop : prev + hop + grain]
+        template = np.concatenate([template, np.zeros(grain - len(template))])
+        lo = max(nominal[k] - tol, 0)
+        hi = min(nominal[k] + tol, last)
+        region = x[lo : hi + grain]
+        coarse_template = _box_sums(template, -(-grain // 4))
+        coarse_region = _box_sums(region, -(-(2 * tol + grain) // 4))
+        coarse = np.correlate(coarse_region, coarse_template, "valid")[: (hi - lo) // 4 + 1]
+        floor = 1e-9 * np.linalg.norm(coarse_template) * np.linalg.norm(coarse_region)
+        at = _near_nominal(coarse, 4 * np.arange(len(coarse)), nominal[k] - lo, floor)
+        lags = np.arange(max(at - 4, 0), min(at + 4, hi - lo) + 1)
+        fine = np.array([np.dot(template, region[lag : lag + grain]) for lag in lags])
+        floor = 1e-9 * np.linalg.norm(template) * np.linalg.norm(region)
+        starts.append(lo + _near_nominal(fine, lags, nominal[k] - lo, floor))
+    return starts
+
+
 def reference_align(buffer, anchors, config):
-    rate, total = buffer.sample_rate, buffer.n_samples
-    pieces = []
-    for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:]):
-        lo, hi = min(int(round(s0 * rate)), total), min(int(round(s1 * rate)), total)
-        target_len = int(round(t1 * rate)) - int(round(t0 * rate))
-        pieces.append(_reference_to_length(buffer.samples[:, lo:hi], target_len, config))
-    return np.concatenate(pieces, axis=1)
+    rate, n = buffer.sample_rate, buffer.n_samples
+    src = [min(int(round(s * rate)), n) for s, _ in anchors.pairs]
+    dst = [int(round(t * rate)) for _, t in anchors.pairs]
+    if src == dst:
+        return buffer.samples[:, : dst[-1]].copy()
+    # A buffer shorter than a grain reads zeros past its end.
+    samples = np.pad(buffer.samples, ((0, 0), (0, max(config.frame_length - n, 0))))
+    mono = samples.mean(axis=0)
+    starts = []
+    for chain in _reference_chains(samples.shape[1], src, dst, config):
+        starts += _reference_chain_offsets(mono, *chain, config)
+    return np.stack([_reference_overlap_add(ch, starts, dst[-1], config) for ch in samples])
+
+
+def _one_segment_chains(n, target_len, config):
+    """The grain chains of n samples stretched to target_len as one segment."""
+    return timewarp._chains(np.array([0, n]), np.array([0, target_len]), n, config)
 
 
 def stretch(buffer, ratio, config=None):
@@ -280,6 +342,35 @@ def test_align_moves_clicks_to_target_downbeats():
         assert x[lo:hi].max() > 0.1
 
 
+def _warped_click_peak(ratio, click_s, anchor_s, noise):
+    """The peak within 30 ms of where a 3 ms click at click_s over `noise`
+    lands, warped by a map whose one interior anchor, at anchor_s, ends a
+    segment stretched by `ratio` and starts one kept at its length."""
+    duration = len(noise) / SR
+    click = click_track(30.0, duration, SR, start_s=click_s, amplitude=0.8)
+    target = anchor_s * ratio
+    amap = AnchorMap(((0.0, 0.0), (anchor_s, target), (duration, target + duration - anchor_s)))
+    out = np.abs(align_to_anchors(AudioBuffer(click.samples[0] + noise, SR), amap).samples[0])
+    delta = click_s - anchor_s
+    lands = target + (delta * ratio if delta < 0 else delta)
+    return out[round((lands - 0.03) * SR) : round((lands + 0.03) * SR)].max()
+
+
+@pytest.mark.parametrize("ratio", [0.8, 0.95, 1.05, 1.25])
+def test_clicks_near_an_anchor_keep_their_peak(ratio):
+    # A click from 10 ms before an interior anchor to 10 ms after it keeps
+    # the peak of a click mid-segment, at four places of the anchor within
+    # the hop grid.  Where a warp splits its output at the anchor, a click
+    # a few ms before it is lost.
+    noise = np.random.default_rng(0).normal(0.0, 0.01, round(0.6 * SR))
+    for phase in range(4):
+        anchor_s = 0.3 + phase * 128 / SR / ratio
+        mid = _warped_click_peak(ratio, anchor_s / 2, anchor_s, noise)
+        for ms in range(-10, 11):
+            kept = _warped_click_peak(ratio, anchor_s + ms / 1000, anchor_s, noise) / mid
+            assert kept >= (0.85 if ms >= -8 else 0.6), (phase, ms, kept)
+
+
 @given(st.floats(0.5, 2.0))
 @settings(max_examples=15)
 def test_stretch_length_property(ratio):
@@ -311,7 +402,7 @@ def test_tie_floor_keeps_grain_on_nominal_offset():
     # its nominal offset rather than follow FFT round-off.
     x = np.zeros(20000)
     x[[650, 900]] = 1.0
-    starts = _search_offsets(x, [(0, len(x), 8000)], WsolaConfig())[0]
+    starts = _search_offsets(x, _one_segment_chains(len(x), 8000, WsolaConfig()), WsolaConfig())[0]
     assert starts[1] == 1280
 
 
@@ -320,7 +411,7 @@ def test_equally_near_ties_go_to_the_earlier_offset():
     # clicks at 1180 and 1380, 100 samples either side of nominal.
     x = np.zeros(20000)
     x[[512, 1180, 1380]] = 1.0
-    starts = _search_offsets(x, [(0, len(x), 8000)], WsolaConfig())[0]
+    starts = _search_offsets(x, _one_segment_chains(len(x), 8000, WsolaConfig()), WsolaConfig())[0]
     assert starts[1] == 1180
 
 
@@ -349,7 +440,7 @@ def _signal(kind, rng, channels, n):
 @st.composite
 def warp_cases(draw):
     """A buffer and an anchor map whose segments are stretched (ratio
-    0.5-2), copied (ratio 1) or too short to grain (resampled)."""
+    0.5-2), kept at their length (ratio 1) or shorter than a grain."""
     pairs, src, tgt = [(0.0, 0.0)], 0, 0
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["stretch", "copy", "short"]))
@@ -386,16 +477,14 @@ def _exhaustive_scores(region, template):
     return np.fft.irfft(spectrum, size)[m - 1 : n]
 
 
-def _score_deficits(x, target_len, config):
+def _chain_deficits(x, nominal, last, starts, config):
     """Each searched grain's score deficit: the exhaustive best of its window
     less the chosen start's score, over |template| * |chosen window| (over
     |template| * |region| where the chosen window is silent)."""
-    n, grain, hop, tol = len(x), config.frame_length, config.hop, config.search_tolerance
-    starts = _search_offsets(x, [(0, n, target_len)], config)[0]
+    grain, hop, tol = config.frame_length, config.hop, config.search_tolerance
     deficits = np.zeros(len(starts) - 1)
     for k in range(1, len(starts)):
-        nominal = min(max(int(round(k * hop * n / target_len)), 0), n - grain)
-        lo, hi = max(nominal - tol, 0), min(nominal + tol, n - grain)
+        lo, hi = max(nominal[k] - tol, 0), min(nominal[k] + tol, last)
         template = x[starts[k - 1] + hop : starts[k - 1] + hop + grain]
         template = np.concatenate([template, np.zeros(grain - len(template))])
         region = x[lo : hi + grain]
@@ -409,14 +498,17 @@ def _score_deficits(x, target_len, config):
 
 def _warp_deficits(buffer, anchors, config):
     """The score deficits of every grain searched in warping buffer by anchors."""
-    rate, mono = buffer.sample_rate, buffer.samples.mean(axis=0)
-    deficits = [np.zeros(0)]
-    for (s0, t0), (s1, t1) in zip(anchors.pairs, anchors.pairs[1:]):
-        lo, hi = round(s0 * rate), round(s1 * rate)
-        target_len = round(t1 * rate) - round(t0 * rate)
-        if hi - lo != target_len and min(hi - lo, target_len) > config.frame_length:
-            deficits.append(_score_deficits(mono[lo:hi], target_len, config))
-    return np.concatenate(deficits)
+    rate, n = buffer.sample_rate, buffer.n_samples
+    src = np.array([min(round(s * rate), n) for s, _ in anchors.pairs])
+    dst = np.array([round(t * rate) for _, t in anchors.pairs])
+    if np.array_equal(src, dst):
+        return np.zeros(0)
+    mono = np.pad(buffer.samples.mean(axis=0), (0, max(config.frame_length - n, 0)))
+    chains = timewarp._chains(src, dst, len(mono), config)
+    starts = _search_offsets(mono, chains, config)
+    return np.concatenate(
+        [_chain_deficits(mono, *chain, chosen, config) for chain, chosen in zip(chains, starts)]
+    )
 
 
 # The search scores box sums of 4 samples and refines only around the
@@ -424,11 +516,13 @@ def _warp_deficits(buffer, anchors, config):
 # grain's deficit on the cases of the per-grain reference test.  Over
 # 40,000 of them, drawn under seeds not used while writing the search,
 # the largest was 2.18 and the 99.9th percentile of a case's worst grain
-# 0.58.  All but one grain past 1 were a lone click pair meeting at the
-# last lag of a window cut short by its segment's end, a lag the coarse
-# pass counts in the coarse lag past the window when the pair straddles a
-# box edge; the rest of the tail is noise beside a gap and tones near
-# rate / 4, which the box sums cancel.
+# 0.58 when each anchor segment was warped on its own; over 10,000 drawn
+# for the warp along one map, 1.22 and 0.98.  The grains near or past 1
+# are mostly a lone click pair meeting at the last lag of a window cut
+# short at its chain's last start, a lag the coarse pass counts in the
+# coarse lag past the window when the pair straddles a box edge; the rest
+# of the tail is noise beside a gap and tones near rate / 4, which the
+# box sums cancel.
 DEFICIT_MAX = 2.5
 
 
@@ -479,9 +573,10 @@ def test_search_memory_stays_within_rows_times_window():
     # region, so the search needs a few rows of one window, not a copy of
     # the signal (a box-summed copy alone would take a quarter of its bytes).
     mono = np.random.default_rng(17).normal(0.0, 0.3, 60 * 8000)
+    chains = _one_segment_chains(len(mono), round(len(mono) * 1.05), WsolaConfig())
     tracemalloc.start()
     try:
-        _search_offsets(mono, [(0, len(mono), round(len(mono) * 1.05))], WsolaConfig())
+        _search_offsets(mono, chains, WsolaConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,7 +612,7 @@ def test_stretch_matches_per_grain_reference(config, signal, ratio):
 
 @pytest.fixture
 def split_warp(monkeypatch):
-    """Every warp split into groups of segments, as on a host with three CPUs."""
+    """Every warp split into three threads, as on a host with three CPUs."""
     monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
     monkeypatch.setattr(timewarp, "_available_cpus", lambda: 3)
 
@@ -537,13 +632,13 @@ def test_many_segments_land_in_their_slices(split_warp, monkeypatch):
     searches = []
     search = timewarp._search_offsets
 
-    def recording_search(mono, spans, config):
-        searches.append((threading.get_ident(), [span[0] for span in spans]))
-        return search(mono, spans, config)
+    def recording_search(mono, chains, config):
+        searches.append((threading.get_ident(), [int(nominal[0]) for nominal, _ in chains]))
+        return search(mono, chains, config)
 
     monkeypatch.setattr(timewarp, "_search_offsets", recording_search)
     rng = np.random.default_rng(11)
-    # 14 stretched segments of different lengths, each followed by a copied one.
+    # 14 stretched segments of different lengths, each followed by one kept at its length.
     pairs, src, tgt = [(0.0, 0.0)], 0, 0
     for k in range(14):
         n = int(rng.integers(1500, 4000))
@@ -561,11 +656,13 @@ def test_many_segments_land_in_their_slices(split_warp, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(out.samples, reference_align(buffer, anchors, WsolaConfig()))
-    # Three groups, the calling thread's among them, cover each segment once.
+    # Three groups, the calling thread's among them, cover each chain once.
     assert len(searches) == 3
     assert threading.get_ident() in {ident for ident, _ in searches}
-    starts = sorted(lo for _, los in searches for lo in los)
-    assert starts == [round(s * 8000) for s, _ in pairs[:-1:2]]
+    src, dst = (np.array([round(p[i] * 8000) for p in pairs]) for i in (0, 1))
+    chains = timewarp._chains(src, dst, buffer.n_samples, WsolaConfig())
+    starts = sorted(first for _, firsts in searches for first in firsts)
+    assert starts == sorted(int(nominal[0]) for nominal, _ in chains)
 
 
 @STRETCH_CONFIGS
