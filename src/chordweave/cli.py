@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import analysis, beats, chords, chroma, pipeline, timewarp
-from .audio import read_wav, resample_linear, to_mono, write_wav
+from .audio import read_wav, to_mono, write_wav
 from .formats import FormatError, dump_document, dumps_document, load_document
 from .pipeline import GenerationBackendError, PipelineStepError
 
@@ -77,8 +77,9 @@ def _config(args) -> pipeline.RemixConfig:
     return pipeline.RemixConfig(**values)
 
 
-def _load_mono(path, sample_rate: int):
-    return resample_linear(to_mono(read_wav(path)), sample_rate)
+def _analysis_input(path, config: pipeline.RemixConfig):
+    """The WAV at path as step 2 ingests it for remix, then made mono."""
+    return to_mono(pipeline.ingest_stems(read_wav(path), None, config).instrumental)
 
 
 def _cmd_parse(args) -> int:
@@ -99,7 +100,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_analyze_chords(args) -> int:
     config = _config(args)
-    audio = _load_mono(args.audio, config.sample_rate)
+    audio = _analysis_input(args.audio, config)
     grid = pipeline.analyze_beats(audio, config, args.bpm)
     _info(args, f"estimated tempo {grid.bpm:.1f} BPM")
     seq = pipeline.extract_chords(audio, grid, config)
@@ -110,7 +111,7 @@ def _cmd_analyze_chords(args) -> int:
 
 def _cmd_beats(args) -> int:
     config = _config(args)
-    grid = pipeline.analyze_beats(_load_mono(args.audio, config.sample_rate), config)
+    grid = pipeline.analyze_beats(_analysis_input(args.audio, config), config)
     _info(
         args, f"{grid.bpm:.1f} BPM, {len(grid.beats_s)} beats, {len(grid.downbeats_s)} downbeats"
     )
@@ -121,7 +122,7 @@ def _cmd_beats(args) -> int:
 def _cmd_melody(args) -> int:
     config = _config(args)
     analysis._check_silence_floor(args.silence_floor)
-    audio = _load_mono(args.audio, config.sample_rate)
+    audio = _analysis_input(args.audio, config)
     raw = analysis.compute_chromagram(
         audio, dataclasses.replace(config.chromagram, normalization="none")
     )
@@ -145,7 +146,7 @@ def _cmd_mix(args) -> int:
     generated = read_wav(args.generated)
     instrumental = read_wav(args.input)
     vocals = read_wav(args.vocals) if args.vocals else None
-    config = dataclasses.replace(_config(args), sample_rate=instrumental.sample_rate)
+    config = _config(args)
     stems = pipeline.ingest_stems(instrumental, vocals, config)
     if args.input_grid is not None:
         input_grid = beats.read_beat_grid(args.input_grid)
@@ -185,12 +186,6 @@ def _cmd_remix(args) -> int:
     _info(args, f"generated and mixed {mixed.duration_s:.2f} s at {bundle.beat_grid.bpm:.1f} BPM")
     write_wav(mixed, args.out, args.encoding)
     return 0
-
-
-def _add_sample_rate_flag(parser) -> None:
-    parser.add_argument(
-        "--sample-rate", type=int, default=_DEFAULTS.sample_rate, help="analysis sample rate (Hz)"
-    )
 
 
 def _add_frame_rate_flag(parser) -> None:
@@ -240,7 +235,6 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("audio")
     tolerance = 100 * _DEFAULTS.bpm_seed_tolerance
     p.add_argument("--bpm", type=float, help=f"search within {tolerance:g}%% of this tempo")
-    _add_sample_rate_flag(p)
     _add_tempo_flags(p)
     _add_recognition_flags(p)
     p.add_argument("--out")
@@ -248,14 +242,12 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     p = sub.add_parser("beats", parents=[common], help="tempo and beat grid of a WAV")
     p.add_argument("audio")
-    _add_sample_rate_flag(p)
     _add_tempo_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_beats)
 
     p = sub.add_parser("melody", parents=[common], help="one-hot melody chroma of a WAV")
     p.add_argument("audio")
-    _add_sample_rate_flag(p)
     p.add_argument("--silence-floor", type=float, default=analysis.SILENCE_FLOOR)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
@@ -271,7 +263,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     p = sub.add_parser("mix", parents=[common], help="warp generated audio onto an input and mix")
     p.add_argument("generated")
-    p.add_argument("--input", required=True, help="original input WAV (grid and rate reference)")
+    p.add_argument("--input", required=True, help="original input WAV (grid reference)")
     p.add_argument("--vocals", help="vocal stem WAV to preserve")
     p.add_argument("--generated-grid", help="beat-grid document (estimated when omitted)")
     p.add_argument("--input-grid", help="beat-grid document (estimated when omitted)")
@@ -290,7 +282,6 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--dry-run", action="store_true", help="write the request document, no network")
     p.add_argument("--endpoint", help=f"generation URL (default ${ENDPOINT_ENV_VAR})")
     p.add_argument("--timeout-s", type=float, default=pipeline.DEFAULT_TIMEOUT_S)
-    _add_sample_rate_flag(p)
     _add_frame_rate_flag(p)
     _add_tempo_flags(p)
     _add_recognition_flags(p)

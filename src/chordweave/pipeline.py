@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .analysis import ChromagramConfig, RecognitionConfig, compute_chromagram, r
 from .audio import (
     AudioBuffer,
     WavFormatError,
-    _check_rate,
     _resample_rows,
     decode_wav,
     resample_linear,
@@ -119,16 +119,19 @@ class StemSet:
 class RemixConfig:
     """Every knob of the pipeline in one place.
 
-    Class constants, not fields, fix the beat analysis: a 1024-point onset
-    STFT hopped by 512 samples, and a seeded tempo search (estimate_grid's
-    seed_bpm) held within 10% of its seed, which rules out octave errors.
+    Class constants, not fields, fix the analysis: the pipeline runs at
+    44.1 kHz, because every window and hop is a count of samples at that
+    rate (ingest_stems brings the stems to it); the beat analysis reads a
+    1024-point onset STFT hopped by 512 samples; and a seeded tempo search
+    (estimate_grid's seed_bpm) is held within 10% of its seed, which rules
+    out octave errors.
     """
 
+    sample_rate = 44100
     beat_window_size = 1024
     beat_hop_size = 512
     bpm_seed_tolerance = 0.10
 
-    sample_rate: int = 44100
     conditioning_frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     beats_per_bar: int = 4
     min_bpm: float = DEFAULT_MIN_BPM
@@ -141,7 +144,6 @@ class RemixConfig:
     ceiling_dbfs: float = -1.0
 
     def __post_init__(self):
-        _check_rate(self.sample_rate, "sample_rate")
         if not 0 < self.conditioning_frame_rate_hz < np.inf:
             raise ValueError("conditioning_frame_rate_hz must be finite and > 0")
         if not -np.inf < self.ceiling_dbfs <= 0:
@@ -220,7 +222,7 @@ def read_generation_request(path) -> GenerationRequest:
 def ingest_stems(
     instrumental: AudioBuffer, vocals: AudioBuffer | None, config: RemixConfig
 ) -> StemSet:
-    """Bring raw stems onto the pipeline sample rate."""
+    """Bring raw stems onto the pipeline's 44.1 kHz (RemixConfig.sample_rate)."""
     with _step(2):
         instrumental = resample_linear(instrumental, config.sample_rate)
         if vocals is not None:
@@ -354,6 +356,33 @@ def _check_timeout(timeout_s: float) -> None:
         raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
 
 
+def _check_endpoint(endpoint: str | None) -> None:
+    """Refuse, as TransportError, an endpoint that is missing, is not an
+    http or https URL, or names no host: urllib would open a file:// URL
+    and ignore the body, and finds the others only when it connects."""
+    if not endpoint:
+        raise TransportError("no endpoint configured; pass one or set CHORDWEAVE_ENDPOINT")
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port  # parsed on access; a malformed one raises ValueError
+    except ValueError as exc:
+        raise TransportError(f"endpoint {endpoint!r} is not a URL: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise TransportError(f"endpoint {endpoint!r} is not an http or https URL with a host")
+
+
+def _check_mode(mode: str, endpoint: str | None, out_path, timeout_s: float) -> None:
+    """What request_generation refuses, checked before any work."""
+    if mode == "dry_run":
+        if out_path is None:
+            raise ValueError("dry_run mode needs an output path")
+    elif mode == "live":
+        _check_timeout(timeout_s)
+        _check_endpoint(endpoint)
+    else:
+        raise ValueError(f"mode must be 'live' or 'dry_run', got {mode!r}")
+
+
 def request_generation(
     req: GenerationRequest,
     endpoint: str | None = None,
@@ -372,18 +401,13 @@ def request_generation(
     the bytes read pass the cap.  dry_run writes the exact request
     document to out_path and returns None without touching the network.
     Live mode refuses a timeout_s that is not finite and > 0 with
-    ValueError.
+    ValueError, and an endpoint that is missing, not http or https, or
+    without a host with TransportError.
     """
+    _check_mode(mode, endpoint, out_path, timeout_s)
     if mode == "dry_run":
-        if out_path is None:
-            raise ValueError("dry_run mode needs an output path")
         write_generation_request(req, out_path)
         return None
-    if mode != "live":
-        raise ValueError(f"mode must be 'live' or 'dry_run', got {mode!r}")
-    _check_timeout(timeout_s)
-    if not endpoint:
-        raise TransportError("no endpoint configured; pass one or set CHORDWEAVE_ENDPOINT")
     body = json.dumps(generation_request_to_dict(req)).encode("utf-8")
     http_req = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -508,13 +532,15 @@ def run_remix(
     """The whole pipeline; returns (bundle, request, mix-or-None).
 
     In dry_run mode the request document lands at out_path and the mix
-    is None.  Live mode checks timeout_s as request_generation does,
-    before any step runs.
+    is None.  The prompt, and the mode with what it needs (out_path, or
+    timeout_s and endpoint, checked as request_generation does), are
+    checked before any step runs.
     """
     if config is None:
         config = RemixConfig()
-    if mode == "live":
-        _check_timeout(timeout_s)
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
+    _check_mode(mode, endpoint, out_path, timeout_s)
     stems = ingest_stems(instrumental, vocals, config)
     bundle = prepare_conditioning(stems, prompt, config)
     req = build_request(bundle)

@@ -48,7 +48,10 @@ def stub_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll interval; serve_forever's default is 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/generate", state
     server.shutdown()

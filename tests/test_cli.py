@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import chordweave
-from chordweave.audio import read_wav, write_wav
+from chordweave import pipeline
+from chordweave.audio import AudioBuffer, read_wav, resample_linear, write_wav
 from chordweave.beats import BeatGrid, write_beat_grid
 from chordweave.chroma import read_matrix
 from chordweave.cli import _config, build_parser, run
@@ -78,8 +79,20 @@ def test_unknown_subcommand_is_exit_1(capsys):
         ["parse", "C:maj", "--bpm", "120", "--sample-rate", "8000"],
         ["align", "a.wav", "--source-grid", "s.json", "--target-grid", "t.json",
          "--out", "o.wav", "--sample-rate", "8000"],
+        ["analyze-chords", "a.wav", "--sample-rate", "8000"],
+        ["beats", "a.wav", "--sample-rate", "8000"],
+        ["melody", "a.wav", "--sample-rate", "8000"],
+        ["remix", "a.wav", "--prompt", "p", "--out", "o.wav", "--sample-rate", "8000"],
     ],
-    ids=["parse-frame-rate", "parse-sample-rate", "align-sample-rate"],
+    ids=[
+        "parse-frame-rate",
+        "parse-sample-rate",
+        "align-sample-rate",
+        "analyze-chords-sample-rate",
+        "beats-sample-rate",
+        "melody-sample-rate",
+        "remix-sample-rate",
+    ],
 )
 def test_flag_the_command_does_not_read_is_exit_1(argv, capsys):
     assert run(argv) == 1
@@ -212,6 +225,42 @@ def test_remix_without_endpoint_is_exit_3(input_wav, tmp_path, monkeypatch):
     assert run(["remix", str(input_wav), "--prompt", "p", "--out", str(out)]) == 3
 
 
+@pytest.fixture
+def no_analysis(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the analysis started")
+
+    monkeypatch.setattr(pipeline, "prepare_conditioning", started)
+
+
+@pytest.mark.parametrize(
+    "endpoint", [None, "file:///etc/hostname", "notaurl", "http://[::1", "http://"]
+)
+def test_remix_bad_endpoint_is_exit_3_before_any_work(
+    no_analysis, input_wav, tmp_path, monkeypatch, capsys, endpoint
+):
+    monkeypatch.delenv("CHORDWEAVE_ENDPOINT", raising=False)
+    out = tmp_path / "mix.wav"
+    argv = ["remix", str(input_wav), "--prompt", "p", "--out", str(out)]
+    assert run(argv + ["--endpoint", endpoint] * (endpoint is not None)) == 3
+    named = f"endpoint {endpoint!r}" if endpoint else "no endpoint configured"
+    err = capsys.readouterr().err
+    assert f"chordweave: endpoint error: {named}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["live", "dry_run"])
+def test_remix_empty_prompt_is_exit_1_before_any_work(
+    no_analysis, input_wav, tmp_path, capsys, dry_run
+):
+    out = tmp_path / "out"
+    argv = ["remix", str(input_wav), "--prompt", "", "--endpoint", "http://127.0.0.1:9"]
+    assert run(argv + ["--dry-run"] * dry_run + ["--out", str(out)]) == 1
+    assert "chordweave: error: prompt must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_remix_unreachable_endpoint_is_exit_3(input_wav, tmp_path):
     out = tmp_path / "mix.wav"
     code = run(
@@ -243,6 +292,19 @@ def test_mix_full_path(input_wav, tmp_path):
     mixed = read_wav(out)
     ceiling = 10.0 ** (-1.0 / 20.0)
     assert np.abs(np.asarray(mixed.samples)).max() <= ceiling + 1e-4
+
+
+def test_mix_writes_the_pipeline_rate(input_wav, tmp_path):
+    # A 48 kHz stereo input is ingested at 44.1 kHz, as remix ingests it.
+    mono = read_wav(input_wav)
+    stereo = resample_linear(AudioBuffer(np.vstack([mono.samples] * 2), SR), 48000)
+    source = tmp_path / "input48k.wav"
+    write_wav(stereo, source, "float32")
+    gen = tmp_path / "gen.wav"
+    write_wav(click_track(126.0, 8.25, SR, accent_every=4, start_s=0.25), gen, "float32")
+    out = tmp_path / "mix.wav"
+    assert run(["mix", str(gen), "--input", str(source), "--out", str(out)]) == 0
+    assert read_wav(out).sample_rate == RemixConfig.sample_rate == 44100
 
 
 @pytest.mark.parametrize("command", ["beats", "analyze-chords"])
@@ -371,8 +433,8 @@ def test_flags_beat_config_file(tmp_path, capsys):
     [
         {"min-bpm": None},
         {"frame-rate": [50]},
-        {"sample-rate": 22050.5},
-        {"sample-rate": True},
+        {"beats-per-bar": 4.5},
+        {"beats-per-bar": True},
         {"beats-per-bar": "four"},
         {"bpm": {}},
         {"frame-rate": False},

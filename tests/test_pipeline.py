@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import threading
 import time
@@ -73,10 +74,11 @@ def test_stem_set_validation(instrumental):
         )
 
 
-def test_ingest_resamples_to_config_rate(instrumental):
-    config = RemixConfig(sample_rate=22050)
-    stems = ingest_stems(instrumental, None, config)
-    assert stems.instrumental.sample_rate == 22050
+def test_ingest_resamples_to_config_rate():
+    half = AudioBuffer(np.zeros((2, 22050)), 22050)
+    stems = ingest_stems(half, AudioBuffer(np.zeros(22050), 22050), RemixConfig())
+    assert stems.instrumental.sample_rate == stems.vocals.sample_rate == 44100
+    assert stems.instrumental.n_samples == stems.vocals.n_samples == 44100
 
 
 def test_conditioning_bundle_fields(bundle, instrumental):
@@ -310,6 +312,45 @@ def test_live_requires_endpoint(bundle):
         request_generation(build_request(bundle), endpoint=None, mode="live")
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every step and the network fail the test if they start."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("ingest_stems", "prepare_conditioning", "write_generation_request"):
+        monkeypatch.setattr(pipeline, name, started)
+    monkeypatch.setattr(urllib.request, "urlopen", started)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [None, "", "file:///etc/hostname", "notaurl", "http://[::1", "http://", "ftp://host/x",
+     "http://host:port/"],
+)
+def test_bad_endpoint_is_refused_before_any_work(no_work, instrumental, bundle, endpoint):
+    match = re.escape(f"endpoint {endpoint!r}" if endpoint else "no endpoint configured")
+    with pytest.raises(TransportError, match=match):
+        request_generation(build_request(bundle), endpoint=endpoint, mode="live")
+    with pytest.raises(TransportError, match=match):
+        run_remix(instrumental, None, "p", endpoint=endpoint, mode="live")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"prompt": "", "mode": "dry_run", "out_path": "req.json"}, "prompt must be non-empty"),
+        ({"prompt": "p", "mode": "dry_run"}, "dry_run mode needs an output path"),
+        ({"prompt": "p", "mode": "offline"}, "mode must be 'live' or 'dry_run'"),
+    ],
+    ids=["empty-prompt", "dry-run-without-out-path", "unknown-mode"],
+)
+def test_run_remix_checks_its_arguments_before_any_work(no_work, instrumental, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_remix(instrumental, None, **kwargs)
+
+
 def test_estimate_generated_grid_seeded(bundle):
     gen = click_track(126.0, 8.0, SR, accent_every=4, start_s=START)
     grid = estimate_generated_grid(gen, build_request(bundle), RemixConfig())
@@ -340,14 +381,13 @@ def test_remix_config_rejects_non_finite(name, bad):
         RemixConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("rate", [22050.5, True])
-def test_remix_config_rejects_a_rate_that_is_not_a_whole_number(rate):
-    with pytest.raises(ValueError, match="sample_rate"):
-        RemixConfig(sample_rate=rate)
-
-
 _FIXED = {
-    RemixConfig: {"beat_window_size": 1024, "beat_hop_size": 512, "bpm_seed_tolerance": 0.10},
+    RemixConfig: {
+        "sample_rate": 44100,
+        "beat_window_size": 1024,
+        "beat_hop_size": 512,
+        "bpm_seed_tolerance": 0.10,
+    },
     ChromagramConfig: {"window_size": 4096, "hop_size": 2048, "fmin_hz": 65.4, "fmax_hz": 2093.0},
 }
 
