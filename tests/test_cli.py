@@ -433,8 +433,8 @@ def test_flags_beat_config_file(tmp_path, capsys):
     [
         {"min-bpm": None},
         {"frame-rate": [50]},
-        {"beats-per-bar": 4.5},
-        {"beats-per-bar": True},
+        {"beat-unit": 4.5},
+        {"beat-unit": True},
         {"beats-per-bar": "four"},
         {"bpm": {}},
         {"frame-rate": False},
