@@ -83,7 +83,7 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     if config.normalization == "max":
         peaks = values.max(axis=1, keepdims=True)
         np.divide(values, peaks, out=values, where=peaks > 0)
-    return ChromaMatrix(values, buffer.sample_rate / config.hop_size)
+    return ChromaMatrix._adopt(values, buffer.sample_rate / config.hop_size)
 
 
 def _check_silence_floor(silence_floor: float) -> None:
@@ -107,7 +107,7 @@ def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = SILENCE_FLOOR) -
     voiced = energies > silence_floor
     winners = np.argmax(matrix.values, axis=1)
     out[voiced, winners[voiced]] = 1.0
-    return ChromaMatrix(out, matrix.frame_rate_hz)
+    return ChromaMatrix._adopt(out, matrix.frame_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ writer too, so no document is written that the reader would refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -53,12 +54,32 @@ def chord_to_chroma(chord: Chord) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChromaMatrix:
-    """A (frames, 12) non-negative matrix at a fixed frame rate."""
+    """A (frames, 12) non-negative matrix at a fixed frame rate.
+
+    The public constructor keeps a read-only copy of the values it is
+    given.  The package's own builders hand over the array they have just
+    allocated through _adopt instead, which makes the same checks and sets
+    that array read-only without copying it: only for an array no one else
+    holds, or holds a view of, to write through.
+    """
 
     values: np.ndarray
     frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, frame_rate_hz: float) -> ChromaMatrix:
+        """A matrix that keeps `values` itself, made read-only, rather than a copy."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        object.__setattr__(matrix, "frame_rate_hz", frame_rate_hz)
+        matrix._settle(copy=False)
+        return matrix
+
+    def _settle(self, copy: bool):
+        """Validate, and keep a C-contiguous float64 array set read-only."""
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != 12:
             raise ValueError(f"chroma matrix must be (frames, 12), got {values.shape}")
@@ -66,7 +87,7 @@ class ChromaMatrix:
             raise ValueError("chroma values must be finite and non-negative")
         if not 0 < self.frame_rate_hz < np.inf:
             raise ValueError("frame_rate_hz must be finite and > 0")
-        values = values.copy()
+        values = values.copy() if copy else np.ascontiguousarray(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -104,10 +125,12 @@ def render_matrix(
     # finds it: the last start at or before the centre, if it ends after.
     index = np.searchsorted(starts, centres, side="right") - 1
     inside = (index >= 0) & (centres < ends[np.maximum(index, 0)])
-    table = np.array([chord_to_chroma(e.chord) for e in seq.events]).reshape(-1, 12)
-    values = np.zeros((n_frames, 12))
-    values[inside] = table[index[inside]]
-    return ChromaMatrix(values, frame_rate_hz)
+    # Row i of the table is event i's chroma, and the last row the zeros
+    # of a frame outside every event.
+    classes = [e.chord.pitch_classes() for e in seq.events]
+    table = np.zeros((len(classes) + 1, 12))
+    table[np.repeat(np.arange(len(classes)), list(map(len, classes))), list(chain(*classes))] = 1.0
+    return ChromaMatrix._adopt(table[np.where(inside, index, len(classes))], frame_rate_hz)
 
 
 CHROMA_MATRIX_FORMAT = "chroma-matrix/v2"
@@ -177,7 +200,7 @@ def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
             values = _expand_runs(doc["runs"], frames)
         else:
             values = _rows(doc["data"], frames, "frames")
-        return ChromaMatrix(values, as_number(doc["frame_rate_hz"]))
+        return ChromaMatrix._adopt(values, as_number(doc["frame_rate_hz"]))
 
     return decode(doc, (CHROMA_MATRIX_FORMAT, CHROMA_MATRIX_V1_FORMAT), build)
 

@@ -42,7 +42,7 @@ where the box sums rank the candidates differently from the exact
 scores.
 
 Chains are independent, so when the output holds at least
-PARALLEL_MIN_SAMPLES samples the warp runs on one thread per CPU
+WARP_PARALLEL_MIN_SAMPLES samples the warp runs on one thread per CPU
 available to the process, in two phases: groups of chains of about
 equal grain counts are searched side by side, and then ranges of the
 output of about equal length are overlap-added side by side.  The
@@ -76,17 +76,22 @@ TIE_FLOOR = 1e-9
 DECIMATION = 4
 
 # The least length, in samples, worth a second thread; see the module
-# docstring.  About 45 s at 44.1 kHz.  _thread_count applies it to the
-# warp's output and to pipeline.prepare_conditioning's input.  Medians of
-# interleaved runs on a 2-vCPU guest, one thread against two:
+# docstring.  _thread_count applies PARALLEL_MIN_SAMPLES (about 45 s at
+# 44.1 kHz) to pipeline.prepare_conditioning's input and
+# WARP_PARALLEL_MIN_SAMPLES (about 104 s) to the warp's output.  Medians
+# of interleaved runs on a 2-vCPU guest, one thread against two:
 # - prepare_conditioning's analysis split pays from about 45 s (2.0M
 #   samples): 51 against 35 ms at 45 s, 70 against 38 ms at 60 s.
-# - The warp's groups paid only from about 120 s (5.3M samples) when each
-#   anchor segment was warped on its own: 109 against 159 ms at 45 s, 232
-#   against 252 ms at 90 s, 439 against 324 ms at 150 s.  Below that, each
-#   group's search held so few segments that its steps were mostly
-#   interpreter work, which the threads take turns at.
+# - The warp over the whole buffer, a 126 BPM click track warped onto
+#   120 BPM bars (7 runs a length): 86 against 102 ms at 45 s, 114
+#   against 172 ms at 60 s, 132 against 159 ms at 75 s, 157 against
+#   180 ms at 90 s, 173 against 163 ms at 105 s and 212 against 172 ms
+#   at 120 s; two threads won 1, 0, 0, 3, 5 and 6 of 7.  Below about
+#   100 s each group's coarse-to-fine search holds so few segments that
+#   its steps are mostly interpreter work, which the threads take turns
+#   at.
 PARALLEL_MIN_SAMPLES = 2_000_000
+WARP_PARALLEL_MIN_SAMPLES = 4_600_000
 
 # A distance past every candidate's, for scores outside the near-tie band.
 _FAR = np.iinfo(np.int64).max
@@ -348,10 +353,12 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(n_samples: int) -> int:
+def _thread_count(n_samples: int, warp: bool = False) -> int:
     """Threads to split work on n_samples samples over: every available CPU
-    from PARALLEL_MIN_SAMPLES samples on, else one."""
-    return _available_cpus() if n_samples >= PARALLEL_MIN_SAMPLES else 1
+    from WARP_PARALLEL_MIN_SAMPLES samples on for the warp, or from
+    PARALLEL_MIN_SAMPLES for the analysis, else one."""
+    least = WARP_PARALLEL_MIN_SAMPLES if warp else PARALLEL_MIN_SAMPLES
+    return _available_cpus() if n_samples >= least else 1
 
 
 def _groups(n_grains: np.ndarray, workers: int) -> list[np.ndarray]:
@@ -483,7 +490,7 @@ def _aligned_samples(
         for i, chosen in zip(group, _search_offsets(mono, [chains[i] for i in group], config)):
             starts[firsts[i] : firsts[i + 1]] = chosen
 
-    workers = _thread_count(length)
+    workers = _thread_count(length, warp=True)
     _run_split([partial(search, g) for g in _groups(np.diff(firsts), min(workers, len(chains)))])
     out = np.empty((samples.shape[0], length))
     halves = np.hanning(grain).reshape(2, hop)

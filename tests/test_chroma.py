@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from chordweave.analysis import compute_chromagram, melody_one_hot
 from chordweave.chords import (
     NO_CHORD,
     QUALITIES,
@@ -32,6 +33,7 @@ from chordweave.pipeline import (
     read_generation_request,
     write_generation_request,
 )
+from chordweave.synth import chord_tones
 
 
 def test_chord_to_chroma_is_multi_hot():
@@ -86,6 +88,54 @@ def test_matrix_values_read_only():
     mat = ChromaMatrix(np.zeros((4, 12)), 50.0)
     with pytest.raises(ValueError):
         np.asarray(mat.values)[0, 0] = 1.0
+
+
+def _assert_sealed(matrix):
+    values = matrix.values
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
+def test_package_built_matrices_are_read_only(tmp_path):
+    rendered = render_matrix(parse_progression("C:maj G:7/B N", bpm=120), 50.0)
+    _assert_sealed(rendered)
+    write_matrix(rendered, tmp_path / "m.json")
+    _assert_sealed(read_matrix(tmp_path / "m.json"))
+    (tmp_path / "v1.json").write_text(json.dumps(
+        {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": 1, "data": [[1.0] * 12]}
+    ))
+    _assert_sealed(read_matrix(tmp_path / "v1.json"))
+    write_generation_request(GenerationRequest("p", 120.0, 6.0, rendered), tmp_path / "r.json")
+    _assert_sealed(read_generation_request(tmp_path / "r.json").chroma)
+    chromagram = compute_chromagram(chord_tones([0, 4, 7], 1.0, 22050))
+    _assert_sealed(chromagram)
+    _assert_sealed(melody_one_hot(chromagram))
+
+
+def test_public_constructor_copies():
+    values = np.zeros((4, 12))
+    matrix = ChromaMatrix(values, 50.0)
+    values[0, 0] = 1.0
+    assert not matrix.values.any() and not np.shares_memory(matrix.values, values)
+
+
+@pytest.mark.parametrize(
+    "values, rate",
+    [
+        (np.full((4, 12), np.nan), 50.0),
+        (np.full((4, 12), -0.5), 50.0),
+        (np.ones((4, 11)), 50.0),
+        (np.ones((4, 12)), 0.0),
+    ],
+    ids=["nan", "negative", "4x11", "rate-0"],
+)
+def test_adopt_refuses_what_the_constructor_refuses(values, rate):
+    with pytest.raises(ValueError):
+        ChromaMatrix(values.copy(), rate)
+    with pytest.raises(ValueError):
+        ChromaMatrix._adopt(values, rate)
 
 
 def test_frame_time_centers():

@@ -513,6 +513,17 @@ def test_long_document_writers_match_json(tmp_path, kind):
     _assert_same_text(text, _stdlib(to_dict(obj)))
 
 
+def test_writer_does_not_fall_back_to_the_pure_python_encoder(monkeypatch):
+    doc = generation_request_to_dict(_LONG_REQUEST)
+    expected = _stdlib(doc)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    _assert_same_text(dumps_document(doc), expected)
+
+
 def test_cli_stdout_matches_json(capsys):
     doc = chroma_matrix_to_dict(_LONG_MATRIX)
     cli._emit_json(doc, None)

@@ -490,7 +490,7 @@ def test_warp_and_mix_buffers_are_read_only(instrumental, bundle):
 
 
 def test_warp_error_in_a_worker_is_a_step_4_error(monkeypatch, instrumental, bundle):
-    monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timewarp, "WARP_PARALLEL_MIN_SAMPLES", 0)
     monkeypatch.setattr(timewarp, "_available_cpus", lambda: 2)
     caller = threading.get_ident()
     failure = ValueError("grain search failed")

@@ -613,7 +613,7 @@ def test_stretch_matches_per_grain_reference(config, signal, ratio):
 @pytest.fixture
 def split_warp(monkeypatch):
     """Every warp split into three threads, as on a host with three CPUs."""
-    monkeypatch.setattr(timewarp, "PARALLEL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timewarp, "WARP_PARALLEL_MIN_SAMPLES", 0)
     monkeypatch.setattr(timewarp, "_available_cpus", lambda: 3)
 
 
