@@ -143,10 +143,10 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_mix(args) -> int:
+    config = _config(args)
     generated = read_wav(args.generated)
     instrumental = read_wav(args.input)
     vocals = read_wav(args.vocals) if args.vocals else None
-    config = _config(args)
     stems = pipeline.ingest_stems(instrumental, vocals, config)
     if args.input_grid is not None:
         input_grid = beats.read_beat_grid(args.input_grid)

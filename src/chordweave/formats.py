@@ -5,18 +5,7 @@ Every on-disk document is a JSON object with a "format" tag such as
 wrong or future version fails loudly instead of half-parsing.  NaN and
 Infinity are not JSON: they are never written, and never read.
 
-Documents are written as ``json.dumps(doc, indent=2, allow_nan=False)``
-writes them, plus a newline, and read with one ``json.loads``.  With an
-indent set, ``json.dumps`` skips its C encoder and writes every number
-through the pure-Python one, so dumps_document has its own small writer
-that lays out the same text.  A list whose items are all exactly float,
-such as a chroma row, is one ``str.join`` of their ``float.__repr__``,
-checked for NaN and infinities by a single search for "n", which no
-finite float's repr holds.  Every other value is written as ``json``
-writes it: strings by ``json``'s own ASCII escaper, ints and int
-subclasses by ``int.__repr__``, floats and float subclasses by
-``float.__repr__``, tuples as lists, keys converted as ``json`` converts
-them, and ValueError or TypeError for what ``json`` refuses.  Text
+Documents are compact JSON, written and read by ``json`` alone.  Text
 that is not UTF-8, that nests too deeply for the parser or that holds an
 integer literal longer than the interpreter converts raises FormatError,
 as invalid JSON does.
@@ -27,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -136,73 +124,9 @@ def load_document(path: str | os.PathLike) -> dict:
     return _object(doc)
 
 
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    if "n" in text:  # nan, inf or -inf
-        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return text
-
-
-def _key_text(key) -> str:
-    """A dict key as the string json.dumps writes for it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(value, indent: str) -> str:
-    """`value` as json.dumps(indent=2, allow_nan=False) writes it `indent` deep."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {float}:
-            body = (",\n" + inner).join(map(float.__repr__, value))
-            if "n" in body:  # raise for the first nan, inf or -inf
-                for item in value:
-                    _float_text(item)
-        else:
-            body = (",\n" + inner).join([_json_text(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = (",\n" + inner).join(
-            [
-                f"{encode_basestring_ascii(_key_text(key))}: {_json_text(item, inner)}"
-                for key, item in value.items()
-            ]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def dumps_document(doc: dict) -> str:
-    """A document as deterministic, human-diffable JSON text: exactly
-    json.dumps(doc, indent=2, allow_nan=False) plus a newline."""
-    return _json_text(doc, "") + "\n"
+    """A document as deterministic JSON text: json.dumps(doc, allow_nan=False) plus a newline."""
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def dump_document(doc: dict, path: str | os.PathLike) -> None:

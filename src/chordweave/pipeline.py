@@ -12,7 +12,6 @@ response as audio.
 from __future__ import annotations
 
 import http.client
-import json
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -47,7 +46,7 @@ from .chroma import (
     chroma_matrix_to_dict,
     render_matrix,
 )
-from .formats import as_number, as_text, decode, dump_document, load_document
+from .formats import as_number, as_text, decode, dump_document, dumps_document, load_document
 from . import timewarp
 from .timewarp import WsolaConfig, build_anchor_map
 
@@ -124,21 +123,22 @@ class RemixConfig:
     rate (ingest_stems brings the stems to it); the beat analysis reads a
     1024-point onset STFT hopped by 512 samples; and a seeded tempo search
     (estimate_grid's seed_bpm) is held within 10% of its seed, which rules
-    out octave errors.
+    out octave errors.  The chromagram is max-normalised and the warp
+    uses WsolaConfig's default grains.
     """
 
     sample_rate = 44100
     beat_window_size = 1024
     beat_hop_size = 512
     bpm_seed_tolerance = 0.10
+    chromagram = ChromagramConfig()
+    wsola = WsolaConfig()
 
     conditioning_frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     beats_per_bar: int = 4
     min_bpm: float = DEFAULT_MIN_BPM
     max_bpm: float = DEFAULT_MAX_BPM
-    chromagram: ChromagramConfig = field(default_factory=ChromagramConfig)
     recognition: RecognitionConfig = field(default_factory=RecognitionConfig)
-    wsola: WsolaConfig = field(default_factory=WsolaConfig)
     generated_gain: float = 1.0
     vocal_gain: float = 1.0
     ceiling_dbfs: float = -1.0
@@ -146,6 +146,13 @@ class RemixConfig:
     def __post_init__(self):
         if not 0 < self.conditioning_frame_rate_hz < np.inf:
             raise ValueError("conditioning_frame_rate_hz must be finite and > 0")
+        if not 0 < self.min_bpm < self.max_bpm:
+            raise ValueError("need 0 < min_bpm < max_bpm")
+        if self.beats_per_bar < 1:
+            raise ValueError("beats_per_bar must be >= 1")
+        for name in ("generated_gain", "vocal_gain"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not -np.inf < self.ceiling_dbfs <= 0:
             raise ValueError("ceiling_dbfs must be finite and <= 0")
 
@@ -408,7 +415,7 @@ def request_generation(
     if mode == "dry_run":
         write_generation_request(req, out_path)
         return None
-    body = json.dumps(generation_request_to_dict(req)).encode("utf-8")
+    body = dumps_document(generation_request_to_dict(req)).encode("ascii")
     http_req = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )

@@ -384,6 +384,38 @@ def test_melody_non_finite_silence_floor_is_exit_1_before_reading(tmp_path, bad)
     assert "Traceback" not in proc.stderr
 
 
+_UNUSABLE_SETTINGS = [
+    (["mix", "--generated-gain=nan"], "generated_gain must be finite"),
+    (["mix", "--generated-gain=inf"], "generated_gain must be finite"),
+    (["mix", "--vocal-gain=nan"], "vocal_gain must be finite"),
+    (["mix", "--vocal-gain=-inf"], "vocal_gain must be finite"),
+    (["mix", "--min-bpm=0"], "need 0 < min_bpm < max_bpm"),
+    (["beats", "--min-bpm=200", "--max-bpm=100"], "need 0 < min_bpm < max_bpm"),
+    (["analyze-chords", "--max-bpm=nan"], "need 0 < min_bpm < max_bpm"),
+    (["remix", "--prompt=p", "--dry-run", "--beats-per-bar=0"], "beats_per_bar must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _UNUSABLE_SETTINGS, ids=[" ".join(argv) for argv, _ in _UNUSABLE_SETTINGS]
+)
+def test_unusable_settings_are_exit_1_before_any_work(tmp_path, argv, message):
+    # No WAV lies at the paths, so reading one first would exit 2.
+    command, *flags = argv
+    wavs = [str(tmp_path / "missing.wav")]
+    if command == "mix":
+        wavs += ["--input", str(tmp_path / "missing-input.wav")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweave.cli", command, *wavs, *flags,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"chordweave: error: {message}"]
+
+
 @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("dry_run", [False, True], ids=["live", "dry_run"])
 def test_remix_bad_timeout_is_exit_1_before_any_work(tmp_path, bad, dry_run, capsys):

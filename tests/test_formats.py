@@ -391,11 +391,11 @@ def test_mutated_documents_decode_valid_or_raise_format_error(case):
 
 
 # The writer against the standard library: documents are written exactly
-# as json.dumps(doc, indent=2, allow_nan=False) writes them.
+# as json.dumps(doc, allow_nan=False) writes them.
 
 
 def _stdlib(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def _assert_same_text(actual: str, expected: str) -> None:
@@ -539,7 +539,7 @@ def test_request_rows_encoded_once_per_run(tmp_path):
     written = json.loads(path.read_text())["chroma"]["runs"]
     assert len(written) == runs
     assert sum(count for count, _ in written) == _LONG_MATRIX.n_frames
-    # One row's text per run: a 12-item row takes 13 lines, each under 30 bytes.
+    # One row's text per run: each under 390 bytes, the bound an indented 12-item row met.
     assert path.stat().st_size < runs * 13 * 30
 
 

@@ -174,6 +174,16 @@ def test_dry_run_is_byte_identical(bundle, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_dry_run_file_is_the_live_body(bundle, tmp_path, stub_server):
+    url, state = stub_server
+    req = build_request(bundle)
+    path = tmp_path / "request.json"
+    request_generation(req, mode="dry_run", out_path=path)
+    with pytest.raises(NonAudioResponseError):
+        request_generation(req, endpoint=url, mode="live", timeout_s=10.0)
+    assert state["requests"][0] == path.read_bytes()
+
+
 def test_live_loopback_returns_stub_audio(bundle, stub_server):
     url, state = stub_server
     stub_wav = encode_wav(click_track(126.0, 8.0, SR), "pcm16")
@@ -381,12 +391,44 @@ def test_remix_config_rejects_non_finite(name, bad):
         RemixConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["generated_gain", "vocal_gain"])
+def test_remix_config_rejects_non_finite_gain(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RemixConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"min_bpm": 200.0, "max_bpm": 100.0},
+        {"min_bpm": 120.0, "max_bpm": 120.0},
+        {"min_bpm": 0.0},
+        {"min_bpm": -60.0},
+        {"min_bpm": np.nan},
+        {"max_bpm": np.nan},
+    ],
+    ids=["reversed", "empty", "zero", "negative", "nan-min", "nan-max"],
+)
+def test_remix_config_rejects_bad_tempo_range(values):
+    with pytest.raises(ValueError, match="min_bpm < max_bpm"):
+        RemixConfig(**values)
+
+
+@pytest.mark.parametrize("bad", [0, -4])
+def test_remix_config_rejects_bars_without_beats(bad):
+    with pytest.raises(ValueError, match="beats_per_bar must be >= 1"):
+        RemixConfig(beats_per_bar=bad)
+
+
 _FIXED = {
     RemixConfig: {
         "sample_rate": 44100,
         "beat_window_size": 1024,
         "beat_hop_size": 512,
         "bpm_seed_tolerance": 0.10,
+        "chromagram": ChromagramConfig(),
+        "wsola": timewarp.WsolaConfig(),
     },
     ChromagramConfig: {"window_size": 4096, "hop_size": 2048, "fmin_hz": 65.4, "fmax_hz": 2093.0},
 }
