@@ -3,7 +3,7 @@
 Accepts genreq/v2 POSTs and answers with a click-marked WAV at the
 requested duration, with the tempo scaled away from the request so the
 timing-alignment stage has real work to do.  It reads only "bpm" and
-"duration_s", so a genreq/v1 body is answered the same way.
+"duration_s".
 """
 import argparse
 import json

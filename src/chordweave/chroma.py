@@ -7,8 +7,7 @@ frame-rate matrix by sampling each frame at its centre time.
 A chord holds for many frames, so a matrix is stored as runs.  A
 chroma-matrix/v2 document holds "frame_rate_hz", "frames" and "runs", a
 list of [count, row] pairs, one for each run of bit-identical
-consecutive frames.  Readers also accept chroma-matrix/v1, whose "data"
-spells out every frame as a row; writers emit v2 only.
+consecutive frames.
 
 A v2 document of a few bytes can claim any number of frames, so a reader
 checks the runs before it expands them: each is a [count, row] pair,
@@ -134,9 +133,6 @@ def render_matrix(
 
 
 CHROMA_MATRIX_FORMAT = "chroma-matrix/v2"
-# The first version, which spells out every frame as a row of "data";
-# still read, never written.
-CHROMA_MATRIX_V1_FORMAT = "chroma-matrix/v1"
 MAX_FRAMES = 2**20
 
 
@@ -166,19 +162,8 @@ def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
     }
 
 
-def _rows(values, n: int, unit: str) -> np.ndarray:
-    """A JSON array of n rows of 12 numbers as an (n, 12) float64 array."""
-    rows = as_numbers(values)
-    if n == 0 and rows.shape == (0,):
-        # An empty list holds no row to give it its 12 columns.
-        rows = rows.reshape(0, 12)
-    if rows.shape != (n, 12):
-        raise ValueError(f"rows of shape {rows.shape} are not {n} {unit} by 12")
-    return rows
-
-
 def _expand_runs(runs, frames: int) -> np.ndarray:
-    """The rows of v2 runs, every count checked before any run is expanded.
+    """The (frames, 12) rows of the runs, every count checked before any run is expanded.
 
     A run that is not a [count, row] pair fails to unpack, or its count,
     a string if it unpacks at all, fails as_integer.
@@ -188,21 +173,23 @@ def _expand_runs(runs, frames: int) -> np.ndarray:
     counts = [as_integer(count) for count, _ in runs]
     if min(counts, default=1) < 1 or sum(counts) != frames:
         raise ValueError(f"run counts are not positive integers summing to {frames} frames")
-    return np.repeat(_rows([row for _, row in runs], len(runs), "runs"), counts, axis=0)
+    rows = as_numbers([row for _, row in runs])
+    if not runs:
+        # An empty list holds no row to give it its 12 columns.
+        rows = rows.reshape(0, 12)
+    if rows.shape != (len(runs), 12):
+        raise ValueError(f"rows of shape {rows.shape} are not {len(runs)} runs by 12")
+    return np.repeat(rows, counts, axis=0)
 
 
 def chroma_matrix_from_dict(doc: dict) -> ChromaMatrix:
-    """A matrix from its chroma-matrix/v2 document, or from a v1 one."""
+    """A matrix from its chroma-matrix/v2 document."""
 
     def build(doc: dict) -> ChromaMatrix:
-        frames = as_integer(doc["frames"])
-        if doc["format"] == CHROMA_MATRIX_FORMAT:
-            values = _expand_runs(doc["runs"], frames)
-        else:
-            values = _rows(doc["data"], frames, "frames")
+        values = _expand_runs(doc["runs"], as_integer(doc["frames"]))
         return ChromaMatrix._adopt(values, as_number(doc["frame_rate_hz"]))
 
-    return decode(doc, (CHROMA_MATRIX_FORMAT, CHROMA_MATRIX_V1_FORMAT), build)
+    return decode(doc, CHROMA_MATRIX_FORMAT, build)
 
 
 def write_matrix(matrix: ChromaMatrix, path) -> None:

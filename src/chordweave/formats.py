@@ -30,16 +30,14 @@ def _object(doc) -> dict:
     return doc
 
 
-def decode(doc, expected_format: str | tuple[str, ...], build):
-    """Check `doc` is an object tagged `expected_format`, or one of them, then `build` it.
+def decode(doc, expected_format: str, build):
+    """Check `doc` is an object tagged `expected_format`, then `build` it.
 
     What `build` raises on a missing, mistyped or invalid field becomes
     FormatError, but a nested decode's FormatError passes through as is.
     """
-    tags = (expected_format,) if isinstance(expected_format, str) else expected_format
-    if _object(doc).get("format") not in tags:
-        expected = " or ".join(map(repr, tags))
-        raise FormatError(f"format tag {doc.get('format')!r}, expected {expected}")
+    if _object(doc).get("format") != expected_format:
+        raise FormatError(f"format tag {doc.get('format')!r}, expected {expected_format!r}")
     try:
         return build(doc)
     except FormatError:

@@ -192,8 +192,6 @@ class GenerationRequest:
 
 
 GENREQ_FORMAT = "genreq/v2"
-# The first version, which embeds chroma-matrix/v1; still read, never written.
-GENREQ_V1_FORMAT = "genreq/v1"
 
 
 def generation_request_to_dict(req: GenerationRequest) -> dict:
@@ -215,7 +213,7 @@ def generation_request_from_dict(doc: dict) -> GenerationRequest:
             chroma_matrix_from_dict(doc["chroma"]),
         )
 
-    return decode(doc, (GENREQ_FORMAT, GENREQ_V1_FORMAT), build)
+    return decode(doc, GENREQ_FORMAT, build)
 
 
 def write_generation_request(req: GenerationRequest, path) -> None:

@@ -103,10 +103,6 @@ def test_package_built_matrices_are_read_only(tmp_path):
     _assert_sealed(rendered)
     write_matrix(rendered, tmp_path / "m.json")
     _assert_sealed(read_matrix(tmp_path / "m.json"))
-    (tmp_path / "v1.json").write_text(json.dumps(
-        {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": 1, "data": [[1.0] * 12]}
-    ))
-    _assert_sealed(read_matrix(tmp_path / "v1.json"))
     write_generation_request(GenerationRequest("p", 120.0, 6.0, rendered), tmp_path / "r.json")
     _assert_sealed(read_generation_request(tmp_path / "r.json").chroma)
     chromagram = compute_chromagram(chord_tones([0, 4, 7], 1.0, 22050))
@@ -164,12 +160,12 @@ def test_dict_shape():
 
 def test_from_dict_rejects_frame_count_mismatch():
     doc = {
-        "format": "chroma-matrix/v1",
+        "format": "chroma-matrix/v2",
         "frame_rate_hz": 50.0,
         "frames": 3,
-        "data": [[0.0] * 12] * 2,
+        "runs": [[2, [0.0] * 12]],
     }
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="summing to 3 frames"):
         chroma_matrix_from_dict(doc)
 
 
@@ -340,22 +336,11 @@ def test_zero_frame_matrix_round_trips(tmp_path):
     assert read_generation_request(path).chroma == empty
 
 
-@pytest.mark.parametrize("frames, data", [(1, []), (0, [[]]), (0, [[0.0] * 12])])
-def test_empty_data_reads_as_zero_frames_only(frames, data):
-    doc = {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": frames, "data": data}
-    with pytest.raises(FormatError, match="frames by 12"):
-        chroma_matrix_from_dict(doc)
-
-
-def test_zero_frame_documents_of_either_version_read(tmp_path):
-    empty = ChromaMatrix(np.zeros((0, 12)), 50.0)
-    for doc in (
-        {"format": "chroma-matrix/v2", "frame_rate_hz": 50.0, "frames": 0, "runs": []},
-        {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": 0, "data": []},
-    ):
-        path = tmp_path / "chroma.json"
-        path.write_text(json.dumps(doc, indent=2))
-        assert read_matrix(path) == empty
+def test_zero_frame_document_reads(tmp_path):
+    doc = {"format": "chroma-matrix/v2", "frame_rate_hz": 50.0, "frames": 0, "runs": []}
+    path = tmp_path / "chroma.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert read_matrix(path) == ChromaMatrix(np.zeros((0, 12)), 50.0)
 
 
 @pytest.mark.parametrize("frames, runs", [(1, []), (0, [[1, []]]), (0, [[1, [0.0] * 12]])])

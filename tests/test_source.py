@@ -2,7 +2,9 @@
 
 No linter runs over the source, so these stand in for its unused-import
 and unused-name rules.  __init__.py, which imports to re-export, is read
-for references but not checked itself.
+for references but not checked itself.  Each document format tag is also
+checked to be the tag of one reader and one writer, so a reader for a
+version nothing writes does not stay behind.
 """
 
 import ast
@@ -80,3 +82,36 @@ def test_every_module_level_private_name_is_referenced(module):
             if name not in elsewhere.union(*here):
                 unreferenced.append(name)
     assert not unreferenced, f"{module} defines but never references {unreferenced}"
+
+
+def _format_tags() -> list[str]:
+    """Every module-level `*_FORMAT` name bound to a string: a document's format tag."""
+    return sorted(
+        name
+        for tree in _TREES.values()
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+        for name in _defined(stmt)
+        if name.endswith("_FORMAT")
+    )
+
+
+def _nodes(kind) -> list:
+    return [node for tree in _TREES.values() for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+@pytest.mark.parametrize("tag", _format_tags())
+def test_every_format_tag_is_read_once_and_written_once(tag):
+    # A tag that no writer emits is a reader kept for documents nothing writes.
+    readers = [
+        call for call in _nodes(ast.Call)
+        if isinstance(call.func, ast.Name) and call.func.id == "decode"
+        and len(call.args) > 1 and tag in _reads(call.args[1])
+    ]
+    writers = [
+        func.name for func in _nodes(ast.FunctionDef)
+        if func.name.endswith("_to_dict") and tag in _reads(func)
+    ]
+    assert len(readers) == 1, f"{tag} is the expected tag of {len(readers)} decode calls"
+    assert len(writers) == 1, f"{tag} is written by {len(writers)} *_to_dict functions: {writers}"
