@@ -8,15 +8,18 @@ Each pair runs ``perfbench/run.py`` once in each checkout on the same
 seed, the parent first on even pairs (counting from 0) and the change
 first on odd ones, so that a drift of the host's speed falls on both
 sides alike.  Each checkout runs its own perfbench and its own package.
-The last stdout line of a run is its result object; a run that exits
-non-zero stops the script.
+The last stdout line of a run is its result object and the line before
+it the report, whose "gauge_s" samples time a fixed piece of work on the
+host; a run that exits non-zero stops the script.
 
 stdout gets one JSON object in the per-workload shape of the committed
-BENCH_*.json files: "runs" holds every result, and "summary" maps each
-metric of BENCHMARK.json that every run reports to the quartiles of
-either side (q1, median and q3 by the inclusive method), the pairs the
-change won by the metric's "better" direction, and the change of the
-median in percent.  Progress goes to stderr.
+BENCH_*.json files: "runs" holds every result, each with the median of
+its run's gauge samples as "gauge_median_s", so that a pair whose two
+sides ran at different host speeds shows; and "summary" maps each metric
+of BENCHMARK.json that every run reports to the quartiles of either side
+(q1, median and q3 by the inclusive method), the pairs the change won by
+the metric's "better" direction, and the change of the median in
+percent.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `checkout`, as its result object."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One perfbench run in `checkout`: its result object, and the median of its gauge samples."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -75,7 +78,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}, seed {seed}: exit {proc.returncode}\n{proc.stderr[-4000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    report, result = map(json.loads, proc.stdout.splitlines()[-2:])
+    return result, statistics.median(report["gauge_s"])
 
 
 def _seeds(text: str) -> list[int]:
@@ -99,8 +103,9 @@ def main(argv=None) -> None:
     runs = []
     for i, seed in enumerate(args.seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
-            runs.append({"workload": args.workload, "seed": seed, "side": side, "result": result})
+            result, gauge = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            runs.append({"workload": args.workload, "seed": seed, "side": side,
+                         "gauge_median_s": gauge, "result": result})
             print(f"{args.workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr)
     directions = metric_directions(json.loads(BENCHMARK.read_text()))
     print(json.dumps({"summary": summarize(runs, directions), "runs": runs}, indent=2))

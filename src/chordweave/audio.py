@@ -8,10 +8,11 @@ numpy so the numerical behaviour is easy to pin down in tests.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,38 +30,63 @@ def _check_rate(rate, name: str) -> None:
         raise ValueError(f"{name} must be a positive whole number, got {rate!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class AudioBuffer:
-    """Immutable (channels, n) float64 audio at a fixed sample rate.
+def _check_frame_rate(rate, name: str = "frame_rate_hz") -> None:
+    """ValueError unless rate is a real number, finite and > 0; a bool is not taken for one."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
 
-    The rate is a positive whole number of Hz (an int, or a NumPy integer),
-    as a WAV header holds it; anything else, a bool included, is a
-    ValueError here rather than when the buffer is written.
+
+class _SealedArray:
+    """The base of AudioBuffer, ChromaMatrix and OnsetEnvelope: an array and its rate.
+
+    A subclass is a frozen dataclass of two fields, the array and then its
+    rate, whose _checked validates both and returns the array in the
+    subclass's shape.  The array is kept sealed: float64, C-contiguous
+    and read-only.  The public constructor seals a copy of the caller's
+    array; _adopt seals the array it is given.
     """
+
+    def __post_init__(self):
+        self._seal(copy=True)
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray, rate):
+        """An instance that keeps `array` itself, sealed, rather than a copy.
+
+        Only for an array this package has just allocated and hands over:
+        no one else may hold it, or a view of it, to write through.
+        """
+        instance = object.__new__(cls)
+        for field, value in zip(fields(cls), (array, rate)):
+            object.__setattr__(instance, field.name, value)
+        instance._seal(copy=False)
+        return instance
+
+    def _seal(self, copy: bool) -> None:
+        """Check both fields, then keep the array, or a copy of it, sealed."""
+        name = fields(self)[0].name
+        array = self._checked(np.asarray(getattr(self, name), dtype=np.float64))
+        array = array.copy() if copy else np.ascontiguousarray(array)
+        array.setflags(write=False)
+        object.__setattr__(self, name, array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        array, rate = (field.name for field in fields(self))
+        return getattr(self, rate) == getattr(other, rate) and np.array_equal(
+            getattr(self, array), getattr(other, array)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class AudioBuffer(_SealedArray):
+    """(channels, n) audio at a sample rate of a positive whole number of Hz."""
 
     samples: np.ndarray
     sample_rate: int
 
-    def __post_init__(self):
-        self._settle(copy=True)
-
-    @classmethod
-    def _adopt(cls, samples: np.ndarray, sample_rate: int) -> AudioBuffer:
-        """A buffer that keeps `samples` itself, made read-only, rather than a copy.
-
-        Only for an array this package has just allocated and hands over:
-        no one else may hold it, or a view of it, to write through.  The
-        public constructor copies.
-        """
-        buffer = object.__new__(cls)
-        object.__setattr__(buffer, "samples", samples)
-        object.__setattr__(buffer, "sample_rate", sample_rate)
-        buffer._settle(copy=False)
-        return buffer
-
-    def _settle(self, copy: bool):
-        """Validate, and keep a C-contiguous float64 array set read-only."""
-        samples = np.asarray(self.samples, dtype=np.float64)
+    def _checked(self, samples: np.ndarray) -> np.ndarray:
         if samples.ndim == 1:
             samples = samples.reshape(1, -1)
         if samples.ndim != 2:
@@ -68,9 +94,7 @@ class AudioBuffer:
         if samples.shape[0] < 1:
             raise ValueError("need at least one channel")
         _check_rate(self.sample_rate, "sample_rate")
-        samples = samples.copy() if copy else np.ascontiguousarray(samples)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        return samples
 
     @property
     def n_channels(self) -> int:
@@ -83,13 +107,6 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AudioBuffer):
-            return NotImplemented
-        return self.sample_rate == other.sample_rate and np.array_equal(
-            self.samples, other.samples
-        )
 
 
 def to_mono(buffer: AudioBuffer) -> AudioBuffer:

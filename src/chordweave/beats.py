@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, _stft_blocks
+from .audio import AudioBuffer, _SealedArray, _check_frame_rate, _stft_blocks
 from .formats import (
     as_integer,
     as_number,
@@ -46,23 +46,19 @@ class NoTempoError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class OnsetEnvelope:
+class OnsetEnvelope(_SealedArray):
     """Non-negative onset strength per analysis frame."""
 
     values: np.ndarray
     frame_rate_hz: float
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+    def _checked(self, values: np.ndarray) -> np.ndarray:
         if values.ndim != 1:
             raise ValueError("onset envelope must be 1-D")
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("onset strengths must be finite and >= 0")
-        if self.frame_rate_hz <= 0:
-            raise ValueError("frame_rate_hz must be > 0")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _check_frame_rate(self.frame_rate_hz)
+        return values
 
     @property
     def n_frames(self) -> int:
@@ -71,13 +67,6 @@ class OnsetEnvelope:
     @property
     def duration_s(self) -> float:
         return self.n_frames / self.frame_rate_hz
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OnsetEnvelope):
-            return NotImplemented
-        return self.frame_rate_hz == other.frame_rate_hz and np.array_equal(
-            self.values, other.values
-        )
 
 
 def onset_envelope(
@@ -108,7 +97,7 @@ def onset_envelope(
         np.clip(rise, 0.0, None, out=rise)
         flux[first : first + len(mags)] = rise.sum(axis=1)
         previous = mags[-1]
-    return OnsetEnvelope(flux, buffer.sample_rate / hop_size)
+    return OnsetEnvelope._adopt(flux, buffer.sample_rate / hop_size)
 
 
 def estimate_bpm(

@@ -27,6 +27,7 @@ from itertools import chain
 
 import numpy as np
 
+from .audio import _SealedArray, _check_frame_rate
 from .chords import Chord, ChordSequence
 from .formats import (
     as_integer,
@@ -52,43 +53,19 @@ def chord_to_chroma(chord: Chord) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ChromaMatrix:
-    """A (frames, 12) non-negative matrix at a fixed frame rate.
-
-    The public constructor keeps a read-only copy of the values it is
-    given.  The package's own builders hand over the array they have just
-    allocated through _adopt instead, which makes the same checks and sets
-    that array read-only without copying it: only for an array no one else
-    holds, or holds a view of, to write through.
-    """
+class ChromaMatrix(_SealedArray):
+    """A (frames, 12) non-negative matrix at a fixed frame rate."""
 
     values: np.ndarray
     frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
 
-    def __post_init__(self):
-        self._settle(copy=True)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, frame_rate_hz: float) -> ChromaMatrix:
-        """A matrix that keeps `values` itself, made read-only, rather than a copy."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", values)
-        object.__setattr__(matrix, "frame_rate_hz", frame_rate_hz)
-        matrix._settle(copy=False)
-        return matrix
-
-    def _settle(self, copy: bool):
-        """Validate, and keep a C-contiguous float64 array set read-only."""
-        values = np.asarray(self.values, dtype=np.float64)
+    def _checked(self, values: np.ndarray) -> np.ndarray:
         if values.ndim != 2 or values.shape[1] != 12:
             raise ValueError(f"chroma matrix must be (frames, 12), got {values.shape}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("chroma values must be finite and non-negative")
-        if not 0 < self.frame_rate_hz < np.inf:
-            raise ValueError("frame_rate_hz must be finite and > 0")
-        values = values.copy() if copy else np.ascontiguousarray(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _check_frame_rate(self.frame_rate_hz)
+        return values
 
     @property
     def n_frames(self) -> int:
@@ -97,13 +74,6 @@ class ChromaMatrix:
     @property
     def duration_s(self) -> float:
         return self.n_frames / self.frame_rate_hz
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChromaMatrix):
-            return NotImplemented
-        return self.frame_rate_hz == other.frame_rate_hz and np.array_equal(
-            self.values, other.values
-        )
 
 
 def render_matrix(
@@ -114,8 +84,7 @@ def render_matrix(
     The frame count is round(duration * rate); a frame whose centre falls
     outside every event (including past the end) is all zeros.
     """
-    if not 0 < frame_rate_hz < np.inf:
-        raise ValueError("frame_rate_hz must be finite and > 0")
+    _check_frame_rate(frame_rate_hz)
     n_frames = int(round(seq.duration_s * frame_rate_hz))
     centres = (np.arange(n_frames) + 0.5) / frame_rate_hz
     starts = np.array([e.start_s for e in seq.events])

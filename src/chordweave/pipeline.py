@@ -25,6 +25,7 @@ from .analysis import ChromagramConfig, RecognitionConfig, compute_chromagram, r
 from .audio import (
     AudioBuffer,
     WavFormatError,
+    _check_frame_rate,
     _resample_rows,
     decode_wav,
     resample_linear,
@@ -144,8 +145,7 @@ class RemixConfig:
     ceiling_dbfs: float = -1.0
 
     def __post_init__(self):
-        if not 0 < self.conditioning_frame_rate_hz < np.inf:
-            raise ValueError("conditioning_frame_rate_hz must be finite and > 0")
+        _check_frame_rate(self.conditioning_frame_rate_hz, "conditioning_frame_rate_hz")
         if not 0 < self.min_bpm < self.max_bpm:
             raise ValueError("need 0 < min_bpm < max_bpm")
         if self.beats_per_bar < 1:

@@ -82,12 +82,13 @@ def test_buffer_copies_caller_array():
     assert mono.samples.base is not view and not np.shares_memory(mono.samples, view)
 
 
-def _assert_sealed(buffer):
-    samples = buffer.samples
-    assert samples.dtype == np.float64 and samples.flags.c_contiguous
-    assert not samples.flags.writeable
+def _assert_sealed(instance):
+    """The buffer's samples, or the envelope's values, are float64, C-contiguous and read-only."""
+    array = instance.samples if isinstance(instance, AudioBuffer) else instance.values
+    assert array.dtype == np.float64 and array.flags.c_contiguous
+    assert not array.flags.writeable
     with pytest.raises(ValueError):
-        samples[0, 0] = 1.0
+        array[...] = 1.0
 
 
 def test_returned_buffers_are_read_only():
@@ -101,6 +102,8 @@ def test_returned_buffers_are_read_only():
     for buffer in (stereo, to_mono(stereo)):
         for encoding in ("pcm16", "float32"):
             _assert_sealed(decode_wav(encode_wav(buffer, encoding)))
+    # The onset envelope of a buffer keeps the flux array it builds.
+    _assert_sealed(onset_envelope(to_mono(stereo), window_size=256, hop_size=128))
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3])

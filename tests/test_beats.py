@@ -58,6 +58,9 @@ def test_envelope_rejects_short_and_stereo_input():
 def test_envelope_rejects_negative_and_non_finite_strengths(bad):
     with pytest.raises(ValueError, match="finite and >= 0"):
         OnsetEnvelope(np.r_[np.zeros(500), bad, np.ones(500)], 86.0)
+    # Each is refused as a frame rate too.
+    with pytest.raises(ValueError, match="frame_rate_hz must be finite and > 0"):
+        OnsetEnvelope(np.zeros(8), bad)
 
 
 @pytest.mark.parametrize("bpm", [70.0, 90.0, 120.0, 140.0])

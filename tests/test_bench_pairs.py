@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,27 @@ def test_committed_summaries_are_reproduced(name):
 def test_seed_ranges_and_lists():
     assert bench_pairs._seeds("2400-2403") == [2400, 2401, 2402, 2403]
     assert bench_pairs._seeds("5,1,9") == [5, 1, 9]
+
+
+def test_each_run_keeps_its_gauge_median(monkeypatch, capsys):
+    """Runs alternate sides by seed, and each record keeps the median of its run's gauge."""
+    gauges = {"parent-dir": [0.03, 0.028, 0.029], "change-dir": [0.047, 0.045, 0.046, 0.048]}
+    calls = []
+
+    def fake_run(command, cwd, capture_output, text):
+        seed = int(command[command.index("--seed") + 1])
+        calls.append((cwd, seed))
+        report = json.dumps({"workload": "w", "seed": seed, "gauge_s": gauges[cwd]})
+        rate = 100.0 if cwd == "parent-dir" else 110.0
+        stdout = "\n".join([report, _line(rate + seed, 0.01)]) + "\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.main(["--parent", "parent-dir", "--change", "change-dir", "--workload", "w",
+                      "--seeds", "1-2", "--seconds", "1"])
+    assert calls == [("parent-dir", 1), ("change-dir", 1), ("change-dir", 2), ("parent-dir", 2)]
+    out = json.loads(capsys.readouterr().out)
+    assert [(run["seed"], run["side"], run["gauge_median_s"]) for run in out["runs"]] == [
+        (1, "parent", 0.029), (1, "change", 0.0465), (2, "change", 0.0465), (2, "parent", 0.029)
+    ]
+    assert out["summary"]["content_s_per_s"]["change_better_pairs"] == "2/2"

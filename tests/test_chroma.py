@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from chordweave.analysis import compute_chromagram, melody_one_hot
+from chordweave.audio import AudioBuffer
+from chordweave.beats import OnsetEnvelope
 from chordweave.chords import (
     NO_CHORD,
     QUALITIES,
@@ -77,25 +79,50 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ChromaMatrix(np.ones((4, 12)), 0.0)
     seq = parse_progression("C:maj", bpm=120)
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError):
             ChromaMatrix(np.ones((4, 12)), bad)
         with pytest.raises(ValueError):
             render_matrix(seq, bad)
 
 
-def test_matrix_values_read_only():
-    mat = ChromaMatrix(np.zeros((4, 12)), 50.0)
-    with pytest.raises(ValueError):
-        np.asarray(mat.values)[0, 0] = 1.0
+def _array(instance):
+    return instance.samples if isinstance(instance, AudioBuffer) else instance.values
 
 
-def _assert_sealed(matrix):
-    values = matrix.values
-    assert values.dtype == np.float64 and values.flags.c_contiguous
-    assert not values.flags.writeable
+def _assert_sealed(instance):
+    array = _array(instance)
+    assert array.dtype == np.float64 and array.flags.c_contiguous
+    assert not array.flags.writeable
     with pytest.raises(ValueError):
-        values[0, 0] = 1.0
+        array[...] = 1.0
+
+
+# A valid array and rate for each type that holds a sealed array.
+_SEALED = {
+    AudioBuffer: (np.zeros((2, 8)), 8000),
+    ChromaMatrix: (np.zeros((4, 12)), 50.0),
+    OnsetEnvelope: (np.zeros(8), 86.0),
+}
+
+
+@pytest.mark.parametrize("cls", list(_SEALED), ids=lambda cls: cls.__name__)
+def test_sealed_array_contract(cls):
+    """The constructor seals a copy, _adopt seals the array it is given, and
+    == between two types is NotImplemented."""
+    array, rate = _SEALED[cls]
+    given = array.copy()
+    built = cls(given, rate)
+    _assert_sealed(built)
+    given[0] = 1.0
+    assert not _array(built).any() and not np.shares_memory(_array(built), given)
+    adopted = cls._adopt(given, rate)
+    assert _array(adopted) is given and not given.flags.writeable
+    _assert_sealed(adopted)
+    assert adopted != built and built == cls(array, rate)
+    other = next(c for c in _SEALED if c is not cls)
+    assert built.__eq__(other(*_SEALED[other])) is NotImplemented
+    assert built != other(*_SEALED[other])
 
 
 def test_package_built_matrices_are_read_only(tmp_path):
@@ -110,28 +137,40 @@ def test_package_built_matrices_are_read_only(tmp_path):
     _assert_sealed(melody_one_hot(chromagram))
 
 
-def test_public_constructor_copies():
-    values = np.zeros((4, 12))
-    matrix = ChromaMatrix(values, 50.0)
-    values[0, 0] = 1.0
-    assert not matrix.values.any() and not np.shares_memory(matrix.values, values)
-
-
 @pytest.mark.parametrize(
-    "values, rate",
+    "cls, values, rate",
     [
-        (np.full((4, 12), np.nan), 50.0),
-        (np.full((4, 12), -0.5), 50.0),
-        (np.ones((4, 11)), 50.0),
-        (np.ones((4, 12)), 0.0),
+        (ChromaMatrix, np.full((4, 12), np.nan), 50.0),
+        (ChromaMatrix, np.full((4, 12), -0.5), 50.0),
+        (ChromaMatrix, np.ones((4, 11)), 50.0),
+        (ChromaMatrix, np.ones((4, 12)), 0.0),
+        (ChromaMatrix, np.ones((4, 12)), np.nan),
+        (ChromaMatrix, np.ones((4, 12)), True),
+        (AudioBuffer, np.zeros((2, 2, 2)), 8000),
+        (AudioBuffer, np.zeros((0, 8)), 8000),
+        (AudioBuffer, np.zeros(8), 0),
+        (AudioBuffer, np.zeros(8), 8000.0),
+        (AudioBuffer, np.zeros(8), True),
+        (OnsetEnvelope, np.zeros((2, 8)), 86.0),
+        (OnsetEnvelope, np.full(8, np.nan), 86.0),
+        (OnsetEnvelope, np.full(8, -0.5), 86.0),
+        (OnsetEnvelope, np.zeros(8), 0.0),
+        (OnsetEnvelope, np.zeros(8), np.nan),
+        (OnsetEnvelope, np.zeros(8), np.inf),
+        (OnsetEnvelope, np.zeros(8), True),
     ],
-    ids=["nan", "negative", "4x11", "rate-0"],
+    ids=[
+        "nan", "negative", "4x11", "rate-0", "rate-nan", "rate-True",
+        "audio-3d", "audio-no-channel", "audio-rate-0", "audio-rate-float", "audio-rate-True",
+        "onset-2d", "onset-nan", "onset-negative", "onset-rate-0", "onset-rate-nan",
+        "onset-rate-inf", "onset-rate-True",
+    ],
 )
-def test_adopt_refuses_what_the_constructor_refuses(values, rate):
+def test_adopt_refuses_what_the_constructor_refuses(cls, values, rate):
     with pytest.raises(ValueError):
-        ChromaMatrix(values.copy(), rate)
+        cls(values.copy(), rate)
     with pytest.raises(ValueError):
-        ChromaMatrix._adopt(values, rate)
+        cls._adopt(values, rate)
 
 
 def test_frame_time_centers():

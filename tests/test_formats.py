@@ -630,26 +630,27 @@ _TAILS = ["x", "]", "}", "NaN", " ", "\n\n", "{}", '"s"', ","]
 def _document_text(draw):
     """The text of a document dump_document wrote, then perhaps mutated."""
     pool = draw(st.lists(st.lists(_ROW_ITEMS, min_size=1, max_size=12), min_size=1, max_size=4))
-    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 8)),
-                         min_size=1, max_size=8))
-    data = [pool[i] for i, length in runs for _ in range(length)]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 8)),
+                          min_size=1, max_size=8))
+    runs = [[count, pool[i]] for i, count in picks]
+    frames = sum(count for _, count in picks)
     mutation = draw(st.sampled_from(
         ["none", "compact", "indent", "item", "twin", "third-level", "duplicate", "trailing",
          "quoted", "splice"]
     ))
     if mutation == "item":
-        at = draw(st.integers(0, len(data) - 1))
-        data[at] = [_SENTINEL, *data[at][1:]]
+        at = draw(st.integers(0, len(runs) - 1))
+        runs[at] = [runs[at][0], [_SENTINEL, *runs[at][1][1:]]]
     elif mutation == "third-level":
-        at = draw(st.integers(0, len(data)))
-        data = [data[:at], data[at:]]
-    chroma = {"format": "chroma-matrix/v1", "frame_rate_hz": 50.0, "frames": len(data), "data": data}
+        at = draw(st.integers(0, len(runs)))
+        runs = [runs[:at], runs[at:]]
+    chroma = {"format": "chroma-matrix/v2", "frame_rate_hz": 50.0, "frames": frames, "runs": runs}
     if mutation == "twin":
-        chroma = {"twin": data, **chroma} if draw(st.booleans()) else {**chroma, "twin": data}
+        chroma = {"twin": runs, **chroma} if draw(st.booleans()) else {**chroma, "twin": runs}
     doc = chroma
     if draw(st.booleans()):
         prompt = draw(st.sampled_from(["piano", "NaN", "-Infinity", "[\n]", "],["]))
-        doc = {"format": "genreq/v1", "prompt": prompt, "bpm": 120.0, "duration_s": 1.0,
+        doc = {"format": "genreq/v2", "prompt": prompt, "bpm": 120.0, "duration_s": 1.0,
                "chroma": chroma}
     text = dumps_document(doc)
     if mutation == "compact":
@@ -661,14 +662,14 @@ def _document_text(draw):
     elif mutation == "duplicate":
         extra = draw(st.sampled_from(_DUPLICATES))
         if draw(st.booleans()):
-            text = text.replace('"data": ', '"data": ' + extra + ',\n  "data": ', 1)
+            text = text.replace('"runs": ', '"runs": ' + extra + ',\n  "runs": ', 1)
         else:
             last = text.rindex("]") + 1
-            text = text[:last] + ',\n  "data": ' + extra + text[last:]
+            text = text[:last] + ',\n  "runs": ' + extra + text[last:]
     elif mutation == "trailing":
         text += draw(st.sampled_from(_TAILS))
     elif mutation == "quoted":
-        text = text.replace('"data": [', '"data": "[', 1)
+        text = text.replace('"runs": [', '"runs": "[', 1)
         last = text.rindex("]") + 1
         text = text[:last] + '"' + text[last:]
     elif mutation == "splice":
