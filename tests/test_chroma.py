@@ -125,6 +125,19 @@ def test_sealed_array_contract(cls):
     assert built != other(*_SEALED[other])
 
 
+def test_matrix_values_read_only():
+    mat = ChromaMatrix(np.zeros((4, 12)), 50.0)
+    with pytest.raises(ValueError):
+        np.asarray(mat.values)[0, 0] = 1.0
+
+
+def test_public_constructor_copies():
+    values = np.zeros((4, 12))
+    matrix = ChromaMatrix(values, 50.0)
+    values[0, 0] = 1.0
+    assert not matrix.values.any() and not np.shares_memory(matrix.values, values)
+
+
 def test_package_built_matrices_are_read_only(tmp_path):
     rendered = render_matrix(parse_progression("C:maj G:7/B N", bpm=120), 50.0)
     _assert_sealed(rendered)
