@@ -2,39 +2,26 @@
 and report how well the remixed clicks land on the input's downbeats.
 
 Everything runs locally; the only network traffic is the loopback POST to
-the stub.
+the stub, which this process serves on a port the system picks while the
+CLI runs as a subprocess.
 """
 import argparse
-import socket
 import subprocess
 import sys
-import time
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
+from make_demo_input import build_demo_input
+from stub_backend import make_handler
 
-from chordweave.audio import read_wav
+from chordweave.audio import read_wav, write_wav
 from chordweave.pipeline import RemixConfig, analyze_beats, read_generation_request
 from chordweave.synth import find_clicks
 
-SCRIPTS = Path(__file__).resolve().parent
-
-
-def free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def wait_for(port, timeout_s=10.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                return
-        except OSError:
-            time.sleep(0.05)
-    raise RuntimeError(f"stub backend did not come up on port {port}")
+SAMPLE_RATE = 44100
+LEAD_IN_S = 0.25
 
 
 def main():
@@ -50,10 +37,9 @@ def main():
     request_json = work / "request.json"
     mix_wav = work / "remix.wav"
 
-    subprocess.run(
-        [sys.executable, str(SCRIPTS / "make_demo_input.py"), "--out", str(input_wav)],
-        check=True,
-    )
+    demo = build_demo_input("C:maj G:maj C:maj G:maj", 120.0, SAMPLE_RATE, LEAD_IN_S)
+    write_wav(demo, input_wav, "float32")
+    print(f"input: {input_wav} ({demo.duration_s:.2f} s)")
 
     subprocess.run(
         [sys.executable, "-m", "chordweave.cli", "remix", str(input_wav),
@@ -64,13 +50,15 @@ def main():
     print(f"dry run: {request_json} ({req.bpm:.1f} BPM, {req.duration_s:.2f} s, "
           f"{req.chroma.n_frames} chroma frames)")
 
-    port = free_port()
-    stub = subprocess.Popen(
-        [sys.executable, str(SCRIPTS / "stub_backend.py"), "--port", str(port),
-         "--tempo-scale", str(args.tempo_scale)],
+    # The server holds its port from construction on, so no other process
+    # can take it before the CLI connects.
+    stub = ThreadingHTTPServer(
+        ("127.0.0.1", 0), make_handler(args.tempo_scale, LEAD_IN_S, SAMPLE_RATE)
     )
+    serving = threading.Thread(target=stub.serve_forever)
+    serving.start()
     try:
-        wait_for(port)
+        port = stub.server_address[1]
         subprocess.run(
             [sys.executable, "-m", "chordweave.cli", "remix", str(input_wav),
              "--prompt", args.prompt, "--endpoint", f"http://127.0.0.1:{port}/generate",
@@ -78,8 +66,9 @@ def main():
             check=True,
         )
     finally:
-        stub.terminate()
-        stub.wait(timeout=10)
+        stub.shutdown()
+        serving.join()
+        stub.server_close()
 
     mixed = read_wav(mix_wav)
     grid = analyze_beats(read_wav(input_wav), RemixConfig())

@@ -25,6 +25,7 @@ from .chords import (
     TimeSignature,
 )
 from .chroma import ChromaMatrix, chord_to_chroma
+from .formats import _finite
 
 NORMALIZATIONS = ("max", "none")
 # melody_one_hot's default: a frame whose bins sum to no more is silent.
@@ -86,12 +87,6 @@ def compute_chromagram(buffer: AudioBuffer, config: ChromagramConfig | None = No
     return ChromaMatrix._adopt(values, buffer.sample_rate / config.hop_size)
 
 
-def _check_silence_floor(silence_floor: float) -> None:
-    """Refuse a floor no energy compares with: against NaN every frame reads silent."""
-    if not -np.inf < silence_floor < np.inf:
-        raise ValueError(f"silence_floor must be finite, got {silence_floor!r}")
-
-
 def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = SILENCE_FLOOR) -> ChromaMatrix:
     """Reduce each frame to a single winning bin.
 
@@ -101,7 +96,7 @@ def melody_one_hot(matrix: ChromaMatrix, silence_floor: float = SILENCE_FLOOR) -
     ties going to the lowest bin index.  A floor that is not finite
     raises ValueError.
     """
-    _check_silence_floor(silence_floor)
+    _finite(silence_floor, "silence_floor")
     energies = matrix.values.sum(axis=1)
     out = np.zeros_like(matrix.values)
     voiced = energies > silence_floor

@@ -8,32 +8,17 @@ numpy so the numerical behaviour is easy to pin down in tests.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .formats import _count
+
 
 class WavFormatError(ValueError):
     """Unreadable WAV data: truncated, non-RIFF, or an unsupported codec."""
-
-
-def _check_rate(rate, name: str) -> None:
-    """ValueError unless rate is a positive whole number, which a WAV header can hold.
-
-    A bool is not taken for one, and neither is a float of whole value.
-    """
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
-        raise ValueError(f"{name} must be a positive whole number, got {rate!r}")
-
-
-def _check_frame_rate(rate, name: str = "frame_rate_hz") -> None:
-    """ValueError unless rate is a real number, finite and > 0; a bool is not taken for one."""
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
 
 
 class _SealedArray:
@@ -93,7 +78,7 @@ class AudioBuffer(_SealedArray):
             raise ValueError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("need at least one channel")
-        _check_rate(self.sample_rate, "sample_rate")
+        _count(self.sample_rate, "sample_rate")
         return samples
 
     @property
@@ -133,7 +118,7 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
 def _resample_rows(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
     """resample_linear on a (channels, n) array: `samples` itself when the
     rates match, else a new array."""
-    _check_rate(target_rate, "target_rate")
+    _count(target_rate, "target_rate")
     if target_rate == rate:
         return samples
     n_channels, n = samples.shape
@@ -290,8 +275,7 @@ def _stft_blocks(x: np.ndarray, window_size: int, hop_size: int, lead: int = 0):
     """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError("window_size must be a power of two >= 2")
-    if hop_size < 1:
-        raise ValueError("hop_size must be >= 1")
+    _count(hop_size, "hop_size")
     if lead + x.shape[0] < window_size:
         return 0, iter(())
     n_frames = (lead + x.shape[0] - window_size) // hop_size + 1

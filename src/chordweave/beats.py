@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, _SealedArray, _check_frame_rate, _stft_blocks
+from .audio import AudioBuffer, _SealedArray, _stft_blocks
 from .formats import (
+    _count,
+    _positive,
     as_integer,
     as_number,
     as_numbers,
@@ -57,7 +59,7 @@ class OnsetEnvelope(_SealedArray):
             raise ValueError("onset envelope must be 1-D")
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("onset strengths must be finite and >= 0")
-        _check_frame_rate(self.frame_rate_hz)
+        _positive(self.frame_rate_hz, "frame_rate_hz")
         return values
 
     @property
@@ -179,10 +181,8 @@ class BeatGrid:
     def __post_init__(self):
         object.__setattr__(self, "beats_s", tuple(float(b) for b in self.beats_s))
         object.__setattr__(self, "downbeats_s", tuple(float(b) for b in self.downbeats_s))
-        if not 0 < self.bpm < np.inf:
-            raise ValueError("bpm must be finite and > 0")
-        if self.beats_per_bar < 1:
-            raise ValueError("beats_per_bar must be >= 1")
+        _positive(self.bpm, "bpm")
+        _count(self.beats_per_bar, "beats_per_bar")
         if not self.beats_s:
             raise ValueError("a beat grid needs at least one beat")
         if not np.isfinite(self.beats_s).all():
@@ -221,10 +221,8 @@ def track_beats(
     the beats, and the grid carries the fitted tempo.  The clip must
     cover at least one bar at bpm.
     """
-    if not 0 < bpm < np.inf:
-        raise ValueError("bpm must be finite and > 0")
-    if beats_per_bar < 1:
-        raise ValueError("beats_per_bar must be >= 1")
+    _positive(bpm, "bpm")
+    _count(beats_per_bar, "beats_per_bar")
     period = 60.0 / bpm
     duration = envelope.duration_s
     if duration < beats_per_bar * period:
@@ -293,7 +291,7 @@ def beat_grid_to_dict(grid: BeatGrid) -> dict:
     return {
         "format": BEAT_GRID_FORMAT,
         "bpm": float(grid.bpm),
-        "beats_per_bar": grid.beats_per_bar,
+        "beats_per_bar": int(grid.beats_per_bar),
         "beats_s": [float(b) for b in grid.beats_s],
         "downbeats_s": [float(b) for b in grid.downbeats_s],
     }

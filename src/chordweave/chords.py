@@ -22,6 +22,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .formats import (
+    _count,
+    _positive,
     as_integer,
     as_number,
     as_text,
@@ -142,9 +144,9 @@ class TimeSignature:
     beat_unit: int = 4
 
     def __post_init__(self):
-        if self.beats_per_bar < 1:
-            raise ValueError("beats_per_bar must be >= 1")
-        if self.beat_unit < 1 or self.beat_unit & (self.beat_unit - 1):
+        _count(self.beats_per_bar, "beats_per_bar")
+        _count(self.beat_unit, "beat_unit")
+        if self.beat_unit & (self.beat_unit - 1):
             raise ValueError("beat_unit must be a positive power of two")
 
 
@@ -162,8 +164,7 @@ class ChordEvent:
     def __post_init__(self):
         if not 0 <= self.start_s < math.inf:
             raise ValueError("start_s must be finite and >= 0")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be finite and > 0")
+        _positive(self.duration_s, "duration_s")
 
     @property
     def end_s(self) -> float:
@@ -183,8 +184,7 @@ class ChordSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if not 0 < self.bpm < math.inf:
-            raise ValueError("bpm must be finite and > 0")
+        _positive(self.bpm, "bpm")
         for prev, cur in zip(self.events, self.events[1:]):
             if abs(cur.start_s - prev.end_s) > _CONTIGUITY_TOL:
                 raise ValueError(
@@ -261,8 +261,7 @@ def parse_progression(
     Bar duration is beats_per_bar * 60 / bpm; the n comma-separated chords
     within a bar split it into n equal slots.
     """
-    if not 0 < bpm < math.inf:
-        raise ValueError("bpm must be finite and > 0")
+    _positive(bpm, "bpm")
     if not text.strip():
         raise ChordParseError("empty progression", "", 0)
     bar_duration = time_signature.beats_per_bar * 60.0 / bpm
@@ -302,7 +301,7 @@ def chord_sequence_to_dict(seq: ChordSequence) -> dict:
     return {
         "format": CHORD_SEQ_FORMAT,
         "bpm": float(seq.bpm),
-        "time_signature": [ts.beats_per_bar, ts.beat_unit],
+        "time_signature": [int(ts.beats_per_bar), int(ts.beat_unit)],
         "events": [
             {
                 "chord": format_chord(e.chord),

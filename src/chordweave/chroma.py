@@ -27,9 +27,10 @@ from itertools import chain
 
 import numpy as np
 
-from .audio import _SealedArray, _check_frame_rate
+from .audio import _SealedArray
 from .chords import Chord, ChordSequence
 from .formats import (
+    _positive,
     as_integer,
     as_number,
     as_numbers,
@@ -64,7 +65,7 @@ class ChromaMatrix(_SealedArray):
             raise ValueError(f"chroma matrix must be (frames, 12), got {values.shape}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("chroma values must be finite and non-negative")
-        _check_frame_rate(self.frame_rate_hz)
+        _positive(self.frame_rate_hz, "frame_rate_hz")
         return values
 
     @property
@@ -81,11 +82,12 @@ def render_matrix(
 ) -> ChromaMatrix:
     """Rasterise a chord sequence to frames sampled at their centre times.
 
-    The frame count is round(duration * rate); a frame whose centre falls
-    outside every event (including past the end) is all zeros.
+    The frame count, round(duration * rate), is refused past MAX_FRAMES;
+    a frame centred outside every event, or past the end, is all zeros.
     """
-    _check_frame_rate(frame_rate_hz)
+    _positive(frame_rate_hz, "frame_rate_hz")
     n_frames = int(round(seq.duration_s * frame_rate_hz))
+    _check_frames(n_frames)
     centres = (np.arange(n_frames) + 0.5) / frame_rate_hz
     starts = np.array([e.start_s for e in seq.events])
     ends = np.array([e.end_s for e in seq.events])
@@ -105,6 +107,11 @@ CHROMA_MATRIX_FORMAT = "chroma-matrix/v2"
 MAX_FRAMES = 2**20
 
 
+def _check_frames(n_frames: int) -> None:
+    if n_frames > MAX_FRAMES:
+        raise ValueError(f"{n_frames} frames, more than a document holds ({MAX_FRAMES})")
+
+
 def _runs(values: np.ndarray) -> list[list]:
     """[count, row] for each run of bit-identical consecutive rows.
 
@@ -121,8 +128,7 @@ def _runs(values: np.ndarray) -> list[list]:
 
 def chroma_matrix_to_dict(matrix: ChromaMatrix) -> dict:
     """The chroma-matrix/v2 document of a matrix; more than MAX_FRAMES raises ValueError."""
-    if matrix.n_frames > MAX_FRAMES:
-        raise ValueError(f"{matrix.n_frames} frames, more than a document holds ({MAX_FRAMES})")
+    _check_frames(matrix.n_frames)
     return {
         "format": CHROMA_MATRIX_FORMAT,
         "frame_rate_hz": float(matrix.frame_rate_hz),

@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, beats, chords, chroma, pipeline, timewarp
 from .audio import read_wav, to_mono, write_wav
-from .formats import FormatError, dump_document, dumps_document, load_document
+from .formats import FormatError, _finite, _positive, dump_document, dumps_document, load_document
 from .pipeline import GenerationBackendError, PipelineStepError
 
 ENDPOINT_ENV_VAR = "CHORDWEAVE_ENDPOINT"
@@ -121,7 +121,7 @@ def _cmd_beats(args) -> int:
 
 def _cmd_melody(args) -> int:
     config = _config(args)
-    analysis._check_silence_floor(args.silence_floor)
+    _finite(args.silence_floor, "silence_floor")
     audio = _analysis_input(args.audio, config)
     raw = analysis.compute_chromagram(
         audio, dataclasses.replace(config.chromagram, normalization="none")
@@ -164,7 +164,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_remix(args) -> int:
     config = _config(args)
-    pipeline._check_timeout(args.timeout_s)
+    _positive(args.timeout_s, "timeout_s")
     instrumental = read_wav(args.audio)
     vocals = read_wav(args.vocals) if args.vocals else None
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)

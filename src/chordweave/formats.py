@@ -1,4 +1,4 @@
-"""Versioned JSON document I/O shared by the interchange formats.
+"""Versioned JSON document I/O, and the rules for scalar values, shared across the package.
 
 Every on-disk document is a JSON object with a "format" tag such as
 "chord-seq/v1"; readers check the tag before touching anything else so a
@@ -14,6 +14,8 @@ as invalid JSON does.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from itertools import chain
 
@@ -70,6 +72,31 @@ def as_integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return value
+
+
+def _real(x) -> bool:
+    """Whether x is a real number, not a bool; an exact float or int skips the ABC check."""
+    return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and type(x) is not bool
+
+
+def _positive(value, name: str) -> None:
+    """ValueError unless value is a real number, finite and > 0."""
+    if not (_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _count(value, name: str) -> None:
+    """ValueError unless value is an int or NumPy integer >= 1; a float of whole value is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _finite(value, name: str) -> None:
+    """ValueError unless value is a finite real number."""
+    if not (_real(value) and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be finite")
 
 
 def as_numbers(values) -> np.ndarray:

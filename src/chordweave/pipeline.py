@@ -25,7 +25,6 @@ from .analysis import ChromagramConfig, RecognitionConfig, compute_chromagram, r
 from .audio import (
     AudioBuffer,
     WavFormatError,
-    _check_frame_rate,
     _resample_rows,
     decode_wav,
     resample_linear,
@@ -47,7 +46,10 @@ from .chroma import (
     chroma_matrix_to_dict,
     render_matrix,
 )
-from .formats import as_number, as_text, decode, dump_document, dumps_document, load_document
+from .formats import (
+    _count, _finite, _positive, as_number, as_text, decode, dump_document, dumps_document,
+    load_document,
+)
 from . import timewarp
 from .timewarp import WsolaConfig, build_anchor_map
 
@@ -145,14 +147,12 @@ class RemixConfig:
     ceiling_dbfs: float = -1.0
 
     def __post_init__(self):
-        _check_frame_rate(self.conditioning_frame_rate_hz, "conditioning_frame_rate_hz")
+        _positive(self.conditioning_frame_rate_hz, "conditioning_frame_rate_hz")
         if not 0 < self.min_bpm < self.max_bpm:
             raise ValueError("need 0 < min_bpm < max_bpm")
-        if self.beats_per_bar < 1:
-            raise ValueError("beats_per_bar must be >= 1")
-        for name in ("generated_gain", "vocal_gain"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _count(self.beats_per_bar, "beats_per_bar")
+        _finite(self.generated_gain, "generated_gain")
+        _finite(self.vocal_gain, "vocal_gain")
         if not -np.inf < self.ceiling_dbfs <= 0:
             raise ValueError("ceiling_dbfs must be finite and <= 0")
 
@@ -168,8 +168,7 @@ class ConditioningBundle:
     duration_s: float
 
     def __post_init__(self):
-        if not 0 < self.duration_s < np.inf:
-            raise ValueError("duration_s must be finite and > 0")
+        _positive(self.duration_s, "duration_s")
         frame = 1.0 / self.chroma.frame_rate_hz
         if self.chroma.duration_s < self.chords.duration_s - frame:
             raise ValueError("chroma must cover the chord sequence to within one frame")
@@ -185,10 +184,8 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if not 0 < self.bpm < np.inf:
-            raise ValueError("bpm must be finite and > 0")
-        if not 0 < self.duration_s < np.inf:
-            raise ValueError("duration_s must be finite and > 0")
+        _positive(self.bpm, "bpm")
+        _positive(self.duration_s, "duration_s")
 
 
 GENREQ_FORMAT = "genreq/v2"
@@ -306,7 +303,8 @@ def prepare_conditioning(stems: StemSet, prompt: str, config: RemixConfig) -> Co
     else:
         grid, chromagram = [call() for call in calls]
     chords = _recognize(chromagram, grid, config)
-    chroma = render_matrix(chords, config.conditioning_frame_rate_hz)
+    with _step(3):
+        chroma = render_matrix(chords, config.conditioning_frame_rate_hz)
     return ConditioningBundle(grid, chords, chroma, prompt, stems.instrumental.duration_s)
 
 
@@ -354,13 +352,6 @@ def _read_capped(response, limit: int) -> bytes | None:
     return None
 
 
-def _check_timeout(timeout_s: float) -> None:
-    """Refuse a timeout that is not finite and > 0 before any work: urllib
-    checks it only when it opens the socket."""
-    if not 0 < timeout_s < np.inf:
-        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
-
-
 def _check_endpoint(endpoint: str | None) -> None:
     """Refuse, as TransportError, an endpoint that is missing, is not an
     http or https URL, or names no host: urllib would open a file:// URL
@@ -382,7 +373,7 @@ def _check_mode(mode: str, endpoint: str | None, out_path, timeout_s: float) -> 
         if out_path is None:
             raise ValueError("dry_run mode needs an output path")
     elif mode == "live":
-        _check_timeout(timeout_s)
+        _positive(timeout_s, "timeout_s")
         _check_endpoint(endpoint)
     else:
         raise ValueError(f"mode must be 'live' or 'dry_run', got {mode!r}")

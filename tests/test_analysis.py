@@ -73,7 +73,7 @@ def test_melody_one_hot_silence_floor():
     assert np.flatnonzero(values[1]) == [4]
 
 
-@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf, True])
 def test_melody_one_hot_refuses_a_floor_that_is_not_finite(floor):
     # Against NaN every frame reads silent, and the melody comes back empty.
     with pytest.raises(ValueError, match="silence_floor"):

@@ -181,6 +181,18 @@ def test_track_beats_uniform_clicks_take_lowest_offset():
     assert grid.downbeats_s[0] == grid.beats_s[0]
 
 
+@pytest.mark.parametrize(
+    "bpm, beats_per_bar",
+    [(True, 4), (120.0, True), (120.0, 2.5)],
+    ids=["bool-bpm", "bool-bar", "half-bar"],
+)
+def test_track_beats_refuses_a_bool_or_fractional_setting(bpm, beats_per_bar):
+    env = onset_envelope(to_mono(click_track(120.0, 8.0, SR)))
+    # Matched so that the one-bar check, which refuses 8 s at 1 BPM, does not pass it.
+    with pytest.raises(ValueError, match="must be"):
+        track_beats(env, bpm, beats_per_bar)
+
+
 def test_track_beats_needs_one_bar():
     env = onset_envelope(to_mono(click_track(60.0, 3.0, SR)))
     with pytest.raises(ValueError):
@@ -294,6 +306,12 @@ def test_grid_validation():
             BeatGrid((bad,), (), bpm=120.0)
         with pytest.raises(ValueError):
             BeatGrid((0.0, 0.5, bad), (0.0,), bpm=120.0)
+    # A bool is no tempo and no count, even where its value would fit the beats.
+    with pytest.raises(ValueError):
+        BeatGrid((0.0, 60.0, 120.0), (0.0,), bpm=True)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError):
+            BeatGrid((0.0, 0.5, 1.0), (0.0, 0.5, 1.0), bpm=120.0, beats_per_bar=bad)
 
 
 def test_grid_downbeats_subset_by_offset():
@@ -311,6 +329,9 @@ def test_grid_serialization_round_trip(tmp_path):
     assert again.beats_s == grid.beats_s
     assert again.downbeats_s == grid.downbeats_s
     assert again.beats_per_bar == grid.beats_per_bar
+    # A NumPy integer is a count, and is written as a JSON integer.
+    write_beat_grid(BeatGrid((0.0, 0.5), (0.0,), 120.0, np.int64(2)), path)
+    assert read_beat_grid(path).beats_per_bar == 2
 
 
 def test_grid_dict_shape():

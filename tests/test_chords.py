@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -114,6 +115,27 @@ def test_events_and_tempo_reject_non_finite(bad):
         parse_progression("C:maj", bpm=bad)
 
 
+def test_durations_and_tempi_refuse_a_bool():
+    # Not an input of the test above: start_s keeps its own check, which takes a bool.
+    with pytest.raises(ValueError):
+        ChordEvent(Chord(0), 0.0, True)
+    with pytest.raises(ValueError):
+        ChordSequence((ChordEvent(Chord(0), 0.0, 2.0),), bpm=True)
+    with pytest.raises(ValueError):
+        parse_progression("C:maj", bpm=True)
+
+
+@pytest.mark.parametrize(
+    "beats_per_bar, beat_unit",
+    [(0, 4), (4.5, 4), (True, 4), (4, 0), (4, 3), (4, 4.0), (4, True)],
+    ids=["no-beats", "half-beat", "bool-beats", "no-unit", "unit-3", "float-unit", "bool-unit"],
+)
+def test_time_signature_refuses_what_no_document_holds(beats_per_bar, beat_unit):
+    # 4.5 beats would be written, then refused by the reader as no integer.
+    with pytest.raises(ValueError):
+        TimeSignature(beats_per_bar, beat_unit)
+
+
 def test_events_must_be_contiguous():
     events = (
         ChordEvent(Chord(0), 0.0, 2.0),
@@ -138,6 +160,10 @@ def test_serialization_round_trip(tmp_path):
     write_chord_sequence(seq, path)
     again = read_chord_sequence(path)
     assert chord_sequence_to_dict(again) == chord_sequence_to_dict(seq)
+    # A NumPy integer is a count, and is written as a JSON integer.
+    seq = parse_progression("C:maj", bpm=96, time_signature=TimeSignature(np.int64(3), np.int64(4)))
+    write_chord_sequence(seq, path)
+    assert read_chord_sequence(path).time_signature == TimeSignature(3, 4)
 
 
 def test_from_dict_rejects_wrong_format():

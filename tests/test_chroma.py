@@ -19,6 +19,7 @@ from chordweave.chords import (
 )
 from chordweave.chroma import (
     CSV_BIN_LABELS,
+    MAX_FRAMES,
     ChromaMatrix,
     chord_to_chroma,
     chroma_matrix_from_dict,
@@ -84,6 +85,13 @@ def test_matrix_validation():
             ChromaMatrix(np.ones((4, 12)), bad)
         with pytest.raises(ValueError):
             render_matrix(seq, bad)
+
+
+def test_render_refuses_more_frames_than_a_document_holds():
+    # Refused before the rows are made: no document could hold them.
+    seq = ChordSequence((ChordEvent(Chord(0), 0.0, (MAX_FRAMES + 1) / 50.0),), 120.0)
+    with pytest.raises(ValueError, match="more than a document holds"):
+        render_matrix(seq, 50.0)
 
 
 def _array(instance):

@@ -102,7 +102,7 @@ def test_conditioning_bundle_invariant_enforced(bundle):
             prompt="x",
             duration_s=bundle.duration_s,
         )
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError):
             ConditioningBundle(bundle.beat_grid, bundle.chords, bundle.chroma, "x", bad)
 
@@ -123,6 +123,13 @@ def test_step_attribution_for_bad_audio():
     assert "step 1" in str(info.value)
 
 
+def test_step_attribution_for_a_matrix_no_document_holds(monkeypatch, instrumental):
+    monkeypatch.setattr("chordweave.chroma.MAX_FRAMES", 10)
+    with pytest.raises(PipelineStepError, match="more than a document holds") as info:
+        prepare_conditioning(StemSet(instrumental=instrumental), "p", RemixConfig())
+    assert info.value.step == 3
+
+
 def test_build_request_copies_bundle(bundle):
     req = build_request(bundle)
     assert req.prompt == bundle.prompt
@@ -136,7 +143,7 @@ def test_request_validation(bundle):
         GenerationRequest("", 120.0, 8.0, bundle.chroma)
     with pytest.raises(ValueError):
         GenerationRequest("p", -1.0, 8.0, bundle.chroma)
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError):
             GenerationRequest("p", bad, 8.0, bundle.chroma)
         with pytest.raises(ValueError):
@@ -303,7 +310,7 @@ def test_live_unreachable_endpoint_is_transport_error(bundle):
         )
 
 
-@pytest.mark.parametrize("timeout_s", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("timeout_s", [-1.0, 0.0, np.nan, np.inf, True])
 def test_live_timeout_is_checked_before_any_work(monkeypatch, instrumental, bundle, timeout_s):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
@@ -384,14 +391,14 @@ def test_peak_normalize_rejects_non_finite_ceiling(bad):
         peak_normalize(AudioBuffer(np.array([0.0, 1.4, -0.7]), SR), bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True], ids=["nan", "inf", "-inf", "True"])
 @pytest.mark.parametrize("name", ["conditioning_frame_rate_hz", "ceiling_dbfs"])
 def test_remix_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
         RemixConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True], ids=["nan", "inf", "-inf", "True"])
 @pytest.mark.parametrize("name", ["generated_gain", "vocal_gain"])
 def test_remix_config_rejects_non_finite_gain(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -415,7 +422,7 @@ def test_remix_config_rejects_bad_tempo_range(values):
         RemixConfig(**values)
 
 
-@pytest.mark.parametrize("bad", [0, -4])
+@pytest.mark.parametrize("bad", [0, -4, True, 2.5])
 def test_remix_config_rejects_bars_without_beats(bad):
     with pytest.raises(ValueError, match="beats_per_bar must be >= 1"):
         RemixConfig(beats_per_bar=bad)

@@ -4,7 +4,9 @@ No linter runs over the source, so these stand in for its unused-import
 and unused-name rules.  __init__.py, which imports to re-export, is read
 for references but not checked itself.  Each document format tag is also
 checked to be the tag of one reader and one writer, so a reader for a
-version nothing writes does not stay behind.
+version nothing writes does not stay behind.  And formats.py alone checks
+a scalar with `0 < x < inf` or `-inf < x < inf`: elsewhere that is done
+by its rules, which refuse a bool where the comparison would take it.
 """
 
 import ast
@@ -115,3 +117,33 @@ def test_every_format_tag_is_read_once_and_written_once(tag):
     ]
     assert len(readers) == 1, f"{tag} is the expected tag of {len(readers)} decode calls"
     assert len(writers) == 1, f"{tag} is written by {len(writers)} *_to_dict functions: {writers}"
+
+
+def _is_inf(node) -> bool:
+    """Whether node is `<...>.inf`, such as `np.inf` or `math.inf`."""
+    return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+
+def _open_range_checks(tree) -> list:
+    """Each `0 < x < <...>.inf` and `-<...>.inf < x < <...>.inf` comparison in the tree."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]
+        and _is_inf(node.comparators[1])
+        and (
+            (isinstance(node.left, ast.Constant) and node.left.value == 0)
+            or (isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
+                and _is_inf(node.left.operand))
+        )
+    ]
+
+
+def test_scalar_range_checks_are_formats_rules():
+    # The rules themselves are such comparisons, so the search finds them.
+    assert len(_open_range_checks(_TREES["formats.py"])) == 2
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in sorted(_TREES.items()) if module != "formats.py"
+        for node in _open_range_checks(tree)
+    ]
+    assert not found, f"hand-written scalar range checks (use formats' rules): {found}"
