@@ -131,7 +131,7 @@ def _templates(quality_names) -> tuple[tuple[Chord, ...], np.ndarray]:
     First-maximum argmax over this order realises the documented
     tie-break: lowest root wins, then earlier quality.
     """
-    chords = [Chord(root, QUALITIES[name]) for root in range(12) for name in quality_names]
+    chords = [Chord(root, name) for root in range(12) for name in quality_names]
     vectors = [chord_to_chroma(chord) for chord in chords]
     rows = [v / np.linalg.norm(v) for v in vectors] + [np.full(12, 1.0 / np.sqrt(12.0))]
     return (*chords, NO_CHORD), np.array(rows)

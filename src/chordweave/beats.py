@@ -19,6 +19,7 @@ from .audio import AudioBuffer, _SealedArray, _stft_blocks
 from .formats import (
     _count,
     _positive,
+    _real,
     as_integer,
     as_number,
     as_numbers,
@@ -118,7 +119,7 @@ def estimate_bpm(
     The result seeds track_beats, which fits the period itself.  A flat
     envelope raises NoTempoError.
     """
-    if not 0 < min_bpm < max_bpm:
+    if not (_real(min_bpm) and _real(max_bpm) and 0 < min_bpm < max_bpm):
         raise ValueError("need 0 < min_bpm < max_bpm")
     if envelope.duration_s < 4.0:
         raise NoTempoError(

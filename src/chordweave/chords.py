@@ -6,7 +6,7 @@ The progression grammar is closed and case-sensitive:
     bar         := chord ("," chord)*
     chord       := "N" | ROOT [":" QUALITY] ["/" BASS]
     ROOT, BASS  := [A-G] ("b" | "#")*
-    QUALITY     := a name from QUALITY_INTERVALS
+    QUALITY     := a name from QUALITIES
 
 Whitespace separates bars, a comma splits one bar between several chords,
 a bare root is major, and ``N`` is a rest.  Every bar occupies one measure
@@ -16,13 +16,14 @@ BPM fully determines absolute event timestamps.
 
 from __future__ import annotations
 
-import math
+import numbers
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .formats import (
     _count,
+    _finite,
     _positive,
     as_integer,
     as_number,
@@ -39,8 +40,9 @@ PITCH_CLASS_NAMES = ("C", "Db", "D", "Eb", "E", "F", "Gb", "G", "Ab", "A", "Bb",
 
 _NATURALS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
-# Semitone offsets from the root for every recognised quality name.
-QUALITY_INTERVALS: dict[str, frozenset[int]] = {
+# Semitone offsets from the root for every quality name: the one vocabulary
+# of the parser, the writer and the recognizer.
+QUALITIES: dict[str, frozenset[int]] = {
     "maj": frozenset({0, 4, 7}),
     "min": frozenset({0, 3, 7}),
     "dim": frozenset({0, 3, 6}),
@@ -74,36 +76,24 @@ class ChordParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class ChordQuality:
-    """A named chord quality and its semitone offsets from the root."""
-
-    name: str
-    intervals: frozenset[int]
-
-    def __post_init__(self):
-        if 0 not in self.intervals:
-            raise ValueError("a quality must contain the root (offset 0)")
-        if any(i < 0 or i >= PITCH_CLASS_COUNT for i in self.intervals):
-            raise ValueError("interval offsets must lie in 0..11")
-
-
-QUALITIES: dict[str, ChordQuality] = {
-    name: ChordQuality(name, intervals) for name, intervals in QUALITY_INTERVALS.items()
-}
-MAJOR = QUALITIES["maj"]
+def _pitch_class(value, name: str) -> None:
+    """ValueError unless value is an int or NumPy integer in 0..11; a bool or a float is not."""
+    integral = type(value) is int or isinstance(value, numbers.Integral) and type(value) is not bool
+    if not (integral and 0 <= value < PITCH_CLASS_COUNT):
+        raise ValueError(f"{name} {value!r} outside 0..11")
 
 
 @dataclass(frozen=True)
 class Chord:
-    """A pitched chord (root, quality, optional slash bass) or a rest.
+    """A pitched chord (root, quality name, optional slash bass) or a rest.
 
     ``root is None`` encodes the rest; prefer the NO_CHORD constant.
-    Pitch classes are integers 0..11 with C = 0.
+    Pitch classes are integers 0..11 with C = 0; the quality is a key of
+    QUALITIES, "maj" when omitted.
     """
 
     root: int | None
-    quality: ChordQuality | None = None
+    quality: str | None = None
     bass: int | None = None
 
     def __post_init__(self):
@@ -111,12 +101,13 @@ class Chord:
             if self.quality is not None or self.bass is not None:
                 raise ValueError("a no-chord carries no quality or bass")
             return
-        if not 0 <= self.root < PITCH_CLASS_COUNT:
-            raise ValueError(f"root {self.root} outside 0..11")
+        _pitch_class(self.root, "root")
         if self.quality is None:
-            object.__setattr__(self, "quality", MAJOR)
-        if self.bass is not None and not 0 <= self.bass < PITCH_CLASS_COUNT:
-            raise ValueError(f"bass {self.bass} outside 0..11")
+            object.__setattr__(self, "quality", "maj")
+        elif type(self.quality) is not str or self.quality not in QUALITIES:
+            raise ValueError(f"unknown quality {self.quality!r}")
+        if self.bass is not None:
+            _pitch_class(self.bass, "bass")
 
     @property
     def is_no_chord(self) -> bool:
@@ -126,7 +117,7 @@ class Chord:
         """The sounding pitch classes: chord tones plus the bass, if any."""
         if self.root is None:
             return frozenset()
-        classes = {(self.root + i) % PITCH_CLASS_COUNT for i in self.quality.intervals}
+        classes = {(self.root + i) % PITCH_CLASS_COUNT for i in QUALITIES[self.quality]}
         if self.bass is not None:
             classes.add(self.bass)
         return frozenset(classes)
@@ -162,7 +153,8 @@ class ChordEvent:
     duration_s: float
 
     def __post_init__(self):
-        if not 0 <= self.start_s < math.inf:
+        _finite(self.start_s, "start_s")
+        if self.start_s < 0:
             raise ValueError("start_s must be finite and >= 0")
         _positive(self.duration_s, "duration_s")
 
@@ -238,19 +230,16 @@ def parse_chord_symbol(token: str, position: int = 0) -> Chord:
     if colon:
         if not quality_text:
             raise ChordParseError("empty quality after ':'", token, position + len(root_text) + 1)
-        quality = QUALITIES.get(quality_text)
-        if quality is None:
+        if quality_text not in QUALITIES:
             raise ChordParseError(
                 f"unknown quality {quality_text!r}", token, position + len(root_text) + 1
             )
-    else:
-        quality = MAJOR
     bass = None
     if slash:
         if not bass_text:
             raise ChordParseError("empty bass after '/'", token, position + len(body) + 1)
         bass = _parse_note(bass_text, token, position + len(body) + 1)
-    return Chord(root, quality, bass)
+    return Chord(root, quality_text or "maj", bass)
 
 
 def parse_progression(
@@ -287,7 +276,7 @@ def format_chord(chord: Chord) -> str:
     """Canonical text for a chord; inverse of parse_chord_symbol up to spelling."""
     if chord.is_no_chord:
         return "N"
-    text = f"{PITCH_CLASS_NAMES[chord.root]}:{chord.quality.name}"
+    text = f"{PITCH_CLASS_NAMES[chord.root]}:{chord.quality}"
     if chord.bass is not None:
         text += "/" + PITCH_CLASS_NAMES[chord.bass]
     return text

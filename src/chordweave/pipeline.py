@@ -47,7 +47,7 @@ from .chroma import (
     render_matrix,
 )
 from .formats import (
-    _count, _finite, _positive, as_number, as_text, decode, dump_document, dumps_document,
+    _count, _finite, _positive, _real, as_number, as_text, decode, dump_document, dumps_document,
     load_document,
 )
 from . import timewarp
@@ -148,12 +148,13 @@ class RemixConfig:
 
     def __post_init__(self):
         _positive(self.conditioning_frame_rate_hz, "conditioning_frame_rate_hz")
-        if not 0 < self.min_bpm < self.max_bpm:
+        if not (_real(self.min_bpm) and _real(self.max_bpm) and 0 < self.min_bpm < self.max_bpm):
             raise ValueError("need 0 < min_bpm < max_bpm")
         _count(self.beats_per_bar, "beats_per_bar")
         _finite(self.generated_gain, "generated_gain")
         _finite(self.vocal_gain, "vocal_gain")
-        if not -np.inf < self.ceiling_dbfs <= 0:
+        _finite(self.ceiling_dbfs, "ceiling_dbfs")
+        if self.ceiling_dbfs > 0:
             raise ValueError("ceiling_dbfs must be finite and <= 0")
 
 
@@ -460,7 +461,8 @@ def peak_normalize(buffer: AudioBuffer, ceiling_dbfs: float = -1.0) -> AudioBuff
 
 def _normalizing_gain(samples: np.ndarray, ceiling_dbfs: float) -> float | None:
     """The factor that brings samples' peak down to the ceiling, or None if it is below."""
-    if not -np.inf < ceiling_dbfs <= 0:
+    _finite(ceiling_dbfs, "ceiling_dbfs")
+    if ceiling_dbfs > 0:
         raise ValueError("ceiling_dbfs must be finite and <= 0")
     ceiling = 10.0 ** (ceiling_dbfs / 20.0)
     peak = max(float(samples.max()), -float(samples.min())) if samples.shape[1] else 0.0

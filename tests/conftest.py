@@ -5,8 +5,27 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import settings
 
+from chordweave.chords import parse_progression
+from chordweave.synth import chord_tones, click_track, concat, mix, silence
+
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+@pytest.fixture(scope="session")
+def demo_input():
+    """8.25 s at 44.1 kHz: accented clicks at 120 BPM from 0.25 s under C:maj G:maj C:maj G:maj.
+
+    One triad (amplitude 0.3) a bar, each starting on its bar's first click.
+    An AudioBuffer is sealed, so every test shares this one.
+    """
+    start, rate = 0.25, 44100
+    prog = parse_progression("C:maj G:maj C:maj G:maj", bpm=120)
+    layers = [click_track(120.0, 8.0, rate, accent_every=4, start_s=start)]
+    for ev in prog.events:
+        tones = chord_tones(sorted(ev.chord.pitch_classes()), ev.duration_s, rate, amplitude=0.3)
+        layers.append(concat([silence(ev.start_s + start, rate), tones]))
+    return mix(layers)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from chordweave.analysis import (
     recognize_chords,
 )
 from chordweave.audio import AudioBuffer, to_mono
-from chordweave.chords import NO_CHORD, QUALITIES, Chord, parse_progression
+from chordweave.chords import NO_CHORD, Chord, parse_progression
 from chordweave.chroma import ChromaMatrix, chord_to_chroma, render_matrix
 from chordweave.synth import chord_tones, concat, silence, sine
 
@@ -83,8 +83,7 @@ def test_melody_one_hot_refuses_a_floor_that_is_not_finite(floor):
 def test_template_bank_layout():
     chords, vectors = _templates(("maj", "min"))
     assert len(chords) == 25 and vectors.shape == (25, 12)
-    maj, minor = QUALITIES["maj"], QUALITIES["min"]
-    assert chords[:3] == (Chord(0, maj), Chord(0, minor), Chord(1, maj))
+    assert chords[:3] == (Chord(0, "maj"), Chord(0, "min"), Chord(1, "maj"))
     assert chords[-1] == NO_CHORD
     assert np.array_equal(vectors[2] > 0, chord_to_chroma(chords[2]) > 0)
     norms = np.linalg.norm(vectors, axis=1)

@@ -86,6 +86,16 @@ def test_estimate_bpm_needs_length():
         estimate_bpm(env)
 
 
+@pytest.mark.parametrize(
+    "min_bpm, max_bpm", [(True, 200.0), (False, 200.0), (0.5, True)],
+    ids=["True-min", "False-min", "True-max"],
+)
+def test_estimate_bpm_refuses_a_bool_tempo_bound(min_bpm, max_bpm):
+    env = onset_envelope(to_mono(click_track(120.0, 10.0, SR)))
+    with pytest.raises(ValueError, match="need 0 < min_bpm < max_bpm"):
+        estimate_bpm(env, min_bpm, max_bpm)
+
+
 def _correlate_bpm(envelope, min_bpm=60.0, max_bpm=200.0):
     """Reference: estimate_bpm read off np.correlate's O(n^2) autocorrelation."""
     if envelope.duration_s < 4.0:

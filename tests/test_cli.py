@@ -16,21 +16,15 @@ from chordweave.beats import BeatGrid, write_beat_grid
 from chordweave.chroma import read_matrix
 from chordweave.cli import _config, build_parser, run
 from chordweave.pipeline import RemixConfig
-from chordweave.synth import chord_tones, click_track, concat, mix, silence
-from chordweave.chords import parse_progression
+from chordweave.synth import click_track
 
 SR = 44100
 
 
 @pytest.fixture(scope="module")
-def input_wav(tmp_path_factory):
+def input_wav(tmp_path_factory, demo_input):
     path = tmp_path_factory.mktemp("cli") / "input.wav"
-    prog = parse_progression("C:maj G:maj C:maj G:maj", bpm=120)
-    layers = [click_track(120.0, 8.0, SR, accent_every=4, start_s=0.25)]
-    for ev in prog.events:
-        tones = chord_tones(sorted(ev.chord.pitch_classes()), ev.duration_s, SR, amplitude=0.3)
-        layers.append(concat([silence(ev.start_s + 0.25, SR), tones]))
-    write_wav(mix(layers), path, "float32")
+    write_wav(demo_input, path, "float32")
     return path
 
 

@@ -37,26 +37,16 @@ from chordweave.pipeline import (
     write_generation_request,
 )
 from chordweave import pipeline, timewarp
-from chordweave.synth import chord_tones, click_track, concat, mix, silence
+from chordweave.synth import chord_tones, click_track
 from chordweave.timewarp import align_to_anchors, build_anchor_map
 
 SR = 44100
 START = 0.25
 
 
-def make_instrumental(duration_s=8.0, bpm=120.0):
-    bars = int(duration_s / (4 * 60.0 / bpm))
-    prog = parse_progression(" ".join(["C:maj", "G:maj"] * (bars // 2)), bpm=bpm)
-    layers = [click_track(bpm, duration_s, SR, accent_every=4, start_s=START)]
-    for ev in prog.events:
-        tones = chord_tones(sorted(ev.chord.pitch_classes()), ev.duration_s, SR, amplitude=0.3)
-        layers.append(concat([silence(ev.start_s + START, SR), tones]))
-    return mix(layers)
-
-
 @pytest.fixture(scope="module")
-def instrumental():
-    return make_instrumental()
+def instrumental(demo_input):
+    return demo_input
 
 
 @pytest.fixture(scope="module")
@@ -385,13 +375,17 @@ def test_peak_normalize_scales_down_only():
     assert peak_normalize(zero, -1.0) is zero
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, False], ids=["nan", "inf", "-inf", "False"]
+)
 def test_peak_normalize_rejects_non_finite_ceiling(bad):
     with pytest.raises(ValueError, match="ceiling_dbfs"):
         peak_normalize(AudioBuffer(np.array([0.0, 1.4, -0.7]), SR), bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True], ids=["nan", "inf", "-inf", "True"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, True, False], ids=["nan", "inf", "-inf", "True", "False"]
+)
 @pytest.mark.parametrize("name", ["conditioning_frame_rate_hz", "ceiling_dbfs"])
 def test_remix_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
@@ -414,8 +408,14 @@ def test_remix_config_rejects_non_finite_gain(name, bad):
         {"min_bpm": -60.0},
         {"min_bpm": np.nan},
         {"max_bpm": np.nan},
+        {"min_bpm": True},
+        {"min_bpm": False},
+        {"min_bpm": 0.5, "max_bpm": True},
     ],
-    ids=["reversed", "empty", "zero", "negative", "nan-min", "nan-max"],
+    ids=[
+        "reversed", "empty", "zero", "negative", "nan-min", "nan-max",
+        "True-min", "False-min", "True-max",
+    ],
 )
 def test_remix_config_rejects_bad_tempo_range(values):
     with pytest.raises(ValueError, match="min_bpm < max_bpm"):

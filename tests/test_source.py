@@ -5,11 +5,13 @@ and unused-name rules.  __init__.py, which imports to re-export, is read
 for references but not checked itself.  Each document format tag is also
 checked to be the tag of one reader and one writer, so a reader for a
 version nothing writes does not stay behind.  And formats.py alone checks
-a scalar with `0 < x < inf` or `-inf < x < inf`: elsewhere that is done
-by its rules, which refuse a bool where the comparison would take it.
+a scalar with `0 < x < inf` or `-inf < x < inf` (or `0 <= x < inf` or
+`-inf < x <= 0`): elsewhere that is done by its rules, which refuse a
+bool where the comparison would take it.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -119,22 +121,30 @@ def test_every_format_tag_is_read_once_and_written_once(tag):
     assert len(writers) == 1, f"{tag} is written by {len(writers)} *_to_dict functions: {writers}"
 
 
-def _is_inf(node) -> bool:
-    """Whether node is `<...>.inf`, such as `np.inf` or `math.inf`."""
-    return isinstance(node, ast.Attribute) and node.attr == "inf"
+def _bound(node):
+    """0, inf or -inf for a literal `0`, `<...>.inf` or `-<...>.inf`, else None."""
+    if isinstance(node, ast.Constant) and node.value == 0:
+        return 0
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        bound = _bound(node.operand)
+        return None if bound is None else -bound
+    if isinstance(node, ast.Attribute) and node.attr == "inf":
+        return math.inf
+    return None
+
+
+# The bounds of the comparisons checked: `0 < x < inf` and `0 <= x < inf`,
+# `-inf < x < inf`, and `-inf < x <= 0`.
+_SCALAR_RANGES = ({0, math.inf}, {-math.inf, math.inf}, {-math.inf, 0})
 
 
 def _open_range_checks(tree) -> list:
-    """Each `0 < x < <...>.inf` and `-<...>.inf < x < <...>.inf` comparison in the tree."""
+    """Each `lo < x < hi` comparison, `<=` on either side, whose bounds are a scalar range."""
     return [
         node for node in ast.walk(tree)
-        if isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]
-        and _is_inf(node.comparators[1])
-        and (
-            (isinstance(node.left, ast.Constant) and node.left.value == 0)
-            or (isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
-                and _is_inf(node.left.operand))
-        )
+        if isinstance(node, ast.Compare) and len(node.ops) == 2
+        and all(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)
+        and {_bound(node.left), _bound(node.comparators[1])} in _SCALAR_RANGES
     ]
 
 
